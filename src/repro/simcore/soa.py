@@ -131,23 +131,14 @@ def _run_vector_group(lanes: List[BatchMCDProcessor]) -> List[SimulationResult]:
     return [state.extract(i) for i in range(len(lanes))]
 
 
-class _GroupState:  # statcheck: vector-state=BatchMCDProcessor
+class _GroupState:
     """All [L, 3] control-plane arrays for one lock-step group."""
 
-    #: per-round state with no scalar write-back: the reference discards
-    #: these too (monitor/FSM internals die with the run; busy windows
-    #: and absorbed-elsewhere buffers are folded in via snapshots)
-    _DRIVER_INTERNAL = frozenset(
-        {
-            "prev",
-            "has_prev",
-            "busy_until",
-            "state_level",
-            "state_slope",
-            "counter_level",
-            "counter_slope",
-        }
-    )
+    # prev, has_prev, busy_until, state_level, state_slope, counter_level
+    # and counter_slope are per-round state with no scalar write-back: the
+    # reference discards these too (monitor/FSM internals die with the
+    # run; busy windows and absorbed-elsewhere buffers are folded in via
+    # snapshots)
 
     def __init__(self, lanes: List[BatchMCDProcessor]) -> None:
         self.lanes = lanes

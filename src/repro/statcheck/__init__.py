@@ -4,59 +4,56 @@ The paper's headline numbers are only reproducible if every simulation
 run is bit-deterministic and every sweep-cache hit is genuinely
 equivalent to a recompute.  Those invariants -- seeded randomness, no
 wall-clock reads in simulated code, complete cache keys, picklable pool
-payloads, schema'd probe events -- are exactly the kind of thing a
-conventional linter cannot express, so this package ships a small
-static-analysis framework with codebase-specific rules:
+payloads, schema'd probe events, a serve loop that never blocks -- are
+exactly the kind of thing a conventional linter cannot express, so this
+package ships a small static-analysis framework with 20
+codebase-specific rules (``repro-dvfs check --list-rules`` prints the
+catalog):
 
-========  ========  ==========================================================
-rule      severity  invariant
-========  ========  ==========================================================
-DET001    error     no unseeded ``random`` / ``np.random`` module-level calls
-                    in simulation/controller code
-DET002    error     no wall-clock reads (``time.time``, ``perf_counter``,
-                    ``datetime.now``, ...) in simulation/controller code
-DET003    error     no iteration over unordered sets in code that feeds
-                    hashes or cache keys
-CTL001    error     no float ``==`` / ``!=`` in controller/FSM decision code
-CACHE001  error     every ``SweepJob`` field appears in the
-                    ``canonical_dict()`` cache-key derivation
-POOL001   error     no lambdas or local functions submitted to process pools
-OBS001    error     every emitted probe event kind has a registered schema in
-                    ``repro.obs.schema`` -- and no schema is orphaned
-PERF001   error     no fresh container allocations inside simulator hot loops
-PY001     error     no mutable default arguments
-PY002     error     no bare/overbroad ``except`` that silently swallows errors
-UNIT001   error     no mixed physical units in arithmetic (ns vs GHz vs V);
-                    period/frequency conversions must go through ``1/f``
-SIM001    error     every state attribute the reference ``MCDProcessor`` hot
-                    path assigns must be carried by the ``Fast*`` core
-RACE001   error     no module-level mutable state mutated in code reachable
-                    from process-pool worker entry points
-========  ========  ==========================================================
+========================  ==============================================
+rules                     invariant family
+========================  ==============================================
+DET001-003                determinism: seeded randomness, no wall-clock
+                          reads in simulated code, ordered iteration in
+                          hash/cache-key code
+CTL001                    no float ``==`` / ``!=`` in controller/FSM code
+CACHE001, SPAN002         cache keys cover every ``SweepJob`` field and
+                          never read per-run span context
+POOL001, RACE001          pool payloads pickle; pool-reachable code does
+                          not mutate module-level state
+OBS001                    probe event kinds and schemas match both ways
+PERF001                   no container allocation in simulator hot loops
+PY001, PY002              no mutable defaults; no swallowed exceptions
+UNIT001                   no mixed physical units (ns / GHz / V / nJ)
+SIM001                    the ``Fast*``/``Batch*`` cores carry every state
+                          attribute the reference hot path assigns
+ASYNC001-003, LOCK001     the serve event loop: no blocking calls, no
+                          dropped tasks, loop-confined objects stay on
+                          the loop, cross-context writes hold a lock
+MET001, SPAN001           bounded metric-label cardinality; every
+                          started span ends or escapes to an owner
+========================  ==============================================
 
-``UNIT001``/``SIM001``/``RACE001`` are built on the semantic layer
-(:mod:`~repro.statcheck.semantic` symbol table,
+``UNIT001``/``SIM001``/``RACE001`` and the concurrency rules are built on
+the semantic layer (:mod:`~repro.statcheck.semantic` symbol table,
 :mod:`~repro.statcheck.dataflow` def-use walker,
-:mod:`~repro.statcheck.callgraph` call graph); ``SUP001`` is reserved
-for unjustified suppressions under ``--require-justification`` and
-``E001`` for files that fail to parse.
+:mod:`~repro.statcheck.callgraph` call graph,
+:mod:`~repro.statcheck.concurrency` execution-context model).  The
+engine itself emits ``E001`` for files that fail to parse and
+``SUP001`` for suppressions without a justification.
 
-Findings can be suppressed inline::
+Findings can be suppressed inline, always with a reason::
 
     risky_call()  # statcheck: disable=DET002 -- justification here
 
-or for a whole file with ``# statcheck: disable-file=RULE`` on any line.
+or for a whole file with ``# statcheck: disable-file=RULE -- reason`` on
+any line; a pragma without ``-- reason`` is itself a ``SUP001`` finding.
 Run it as ``repro-dvfs check [paths]`` or ``python -m repro.statcheck``;
 exit status is 0 (clean), 1 (findings), or 2 (usage error or analyzer
-crash), so CI can tell a red build from a broken analyzer.
-
-Beyond one-shot runs, the CLI supports a per-module result cache with
-dependency-aware invalidation (on by default; ``--jobs N`` analyzes
-cache misses in parallel, ``--no-incremental`` disables it), a ratchet
-baseline (``--write-baseline`` / ``--baseline`` grandfather existing
-findings so only *new* ones fail), ``--changed-only BASE`` to scope
-per-file rules to the files changed since a git ref, and
-``--require-justification`` to fail suppressions without a reason.
+crash), so CI can tell a red build from a broken analyzer.  The
+per-module result cache (:mod:`~repro.statcheck.incremental`) is on by
+default, so a rerun re-analyzes only changed modules and the modules
+that import them; ``--no-incremental`` disables it.
 """
 
 from repro.statcheck.engine import (

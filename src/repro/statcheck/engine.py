@@ -17,8 +17,8 @@ Suppressions
 ``# statcheck: disable=RULE[,RULE...]`` on the line a finding is
 reported at suppresses it there; ``# statcheck: disable-file=RULE`` on
 any line suppresses the rule for the whole file; ``all`` matches every
-rule.  Suppressions are expected to carry a justification after ``--``;
-the analyzer does not enforce prose, but review should.
+rule.  Every suppression must carry a justification after ``--``; a
+bare pragma is itself reported as ``SUP001``.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ _PRAGMA = re.compile(
 
 #: Rule ID reserved for files the analyzer cannot parse at all.
 PARSE_ERROR_RULE = "E001"
-#: Rule ID reserved for suppressions without a ``-- reason`` (only
-#: emitted under ``require_justification``; never itself suppressible).
+#: Rule ID reserved for suppressions without a ``-- reason`` (never
+#: itself suppressible).
 SUPPRESSION_RULE = "SUP001"
 
 
@@ -225,6 +225,25 @@ class Rule:
         )
 
 
+def justification_findings(file: SourceFile) -> List[Finding]:
+    """One :data:`SUPPRESSION_RULE` finding per pragma without a reason."""
+    return [
+        Finding(
+            rule=SUPPRESSION_RULE,
+            severity=Severity.ERROR,
+            path=file.path,
+            line=pragma.line,
+            col=0,
+            message=(
+                f"suppression of {', '.join(pragma.rules)} carries no "
+                "justification; append '-- <reason>' to the pragma"
+            ),
+        )
+        for pragma in file.pragmas
+        if pragma.reason is None
+    ]
+
+
 @dataclass
 class AnalysisReport:
     """The outcome of one analyzer run."""
@@ -235,8 +254,6 @@ class AnalysisReport:
     suppressed: int = 0
     #: incremental-cache statistics (hits/misses/...), when enabled
     incremental: Optional[Dict[str, object]] = None
-    #: baseline-screening statistics (new/grandfathered/stale), when used
-    baseline: Optional[Dict[str, object]] = None
 
     @property
     def ok(self) -> bool:
@@ -274,15 +291,7 @@ class Analyzer:
         rules: Optional[Sequence[Type[Rule]]] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        require_justification: bool = False,
-        per_file_paths: Optional[Iterable[str]] = None,
     ) -> None:
-        """``require_justification`` turns suppressions without a
-        ``-- reason`` into :data:`SUPPRESSION_RULE` findings (which are
-        themselves never suppressible).  ``per_file_paths`` restricts
-        *per-file* rules to those paths (the ``--changed-only`` mode);
-        cross-module rules always see the whole project.
-        """
         classes = list(rules) if rules is not None else all_rules()
         known = {cls.id for cls in classes}
         for rule_set in (select, ignore):
@@ -299,12 +308,6 @@ class Analyzer:
             dropped = set(ignore)
             classes = [cls for cls in classes if cls.id not in dropped]
         self.rules: List[Rule] = [cls() for cls in classes]
-        self.require_justification = require_justification
-        self.per_file_paths: Optional[Set[str]] = (
-            {os.path.abspath(path) for path in per_file_paths}
-            if per_file_paths is not None
-            else None
-        )
 
     def analyze_paths(self, paths: Sequence[str]) -> AnalysisReport:
         files = [SourceFile.from_path(path) for path in _collect_paths(paths)]
@@ -329,11 +332,6 @@ class Analyzer:
             for file in project.files:
                 if file.tree is None or not rule.applies_to(file):
                     continue
-                if (
-                    self.per_file_paths is not None
-                    and os.path.abspath(file.path) not in self.per_file_paths
-                ):
-                    continue
                 raw.extend(rule.check_file(file))
             raw.extend(rule.check_project(project))
 
@@ -348,27 +346,10 @@ class Analyzer:
                 suppressed += 1
             else:
                 kept.append(finding)
-        if self.require_justification:
-            # emitted after suppression filtering, so a bare
-            # ``disable=all`` cannot suppress its own finding
-            for file in project.files:
-                for pragma in file.pragmas:
-                    if pragma.reason is not None:
-                        continue
-                    kept.append(
-                        Finding(
-                            rule=SUPPRESSION_RULE,
-                            severity=Severity.ERROR,
-                            path=file.path,
-                            line=pragma.line,
-                            col=0,
-                            message=(
-                                f"suppression of {', '.join(pragma.rules)} "
-                                "carries no justification; append "
-                                "'-- <reason>' to the pragma"
-                            ),
-                        )
-                    )
+        # emitted after suppression filtering, so a bare ``disable=all``
+        # cannot suppress its own finding
+        for file in project.files:
+            kept.extend(justification_findings(file))
         kept.sort(key=lambda finding: finding.sort_key)
         return AnalysisReport(
             findings=kept,

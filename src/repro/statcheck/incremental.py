@@ -11,16 +11,12 @@ the common case cheap:
 * a **project entry** keyed on the shas of *all* modules (plus the rule
   signature) caches the complete report, so a fully-warm run parses
   nothing at all and just replays findings;
-* cache misses are independent per file, so with ``jobs > 1`` they are
-  analyzed in parallel via the sweep engine's
-  :func:`repro.engine.scheduler.pooled_map` -- statcheck rides the same
-  pool (and the same serial-fallback contract) as the sweeps it lints;
 * cross-module rules (SIM001, RACE001, ...) always run over the full
   project when anything at all changed -- only the fully-warm fast path
   skips them, and it replays their cached findings.
 
 The cache file is advisory: unreadable, stale-format, or
-differently-configured (rule selection, flags) caches are ignored and
+differently-configured (rule selection) caches are ignored and
 rewritten, never trusted.  Hit/miss statistics are surfaced in
 ``AnalysisReport.incremental`` for the CLI's ``--json`` output and the
 CI warm-run gate.
@@ -35,21 +31,22 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.statcheck.engine import (
     PARSE_ERROR_RULE,
-    SUPPRESSION_RULE,
     AnalysisReport,
     Analyzer,
     Project,
     Rule,
     SourceFile,
     _collect_paths,
+    _module_for_path,
+    justification_findings,
 )
 from repro.statcheck.findings import Finding, Severity
 from repro.statcheck.semantic import _dep_modules
 
 _FORMAT_VERSION = 1
 
-#: (module, kept finding dicts, suppressed count) -- one per-file result
-_FileResult = Tuple[str, List[Dict[str, Any]], int]
+#: (kept finding dicts, suppressed count) -- one per-file result
+_FileResult = Tuple[List[Dict[str, Any]], int]
 
 
 def _sha256(text: str) -> str:
@@ -95,32 +92,7 @@ def _is_cross_module(rule: Rule) -> bool:
     return type(rule).check_project is not Rule.check_project
 
 
-def _justification_findings(file: SourceFile) -> List[Finding]:
-    findings = []
-    for pragma in file.pragmas:
-        if pragma.reason is not None:
-            continue
-        findings.append(
-            Finding(
-                rule=SUPPRESSION_RULE,
-                severity=Severity.ERROR,
-                path=file.path,
-                line=pragma.line,
-                col=0,
-                message=(
-                    f"suppression of {', '.join(pragma.rules)} carries no "
-                    "justification; append '-- <reason>' to the pragma"
-                ),
-            )
-        )
-    return findings
-
-
-def _check_one_file(
-    file: SourceFile,
-    rules: Sequence[Rule],
-    require_justification: bool,
-) -> _FileResult:
+def _check_one_file(file: SourceFile, rules: Sequence[Rule]) -> _FileResult:
     """Per-file rule pass over one module: kept findings + suppressed count."""
     raw: List[Finding] = []
     if file.parse_error is not None:
@@ -145,44 +117,21 @@ def _check_one_file(
             suppressed += 1
         else:
             kept.append(finding)
-    if require_justification:
-        kept.extend(_justification_findings(file))
-    return file.module, [finding.to_dict() for finding in kept], suppressed
-
-
-def _pool_worker(args: Tuple[str, Optional[str], Tuple[str, ...], bool]) -> _FileResult:
-    """Picklable pool entry: re-load the file and run per-file rules.
-
-    Receives primitives only (path, module override, rule ids, flag);
-    rules are re-instantiated from the registry inside the worker.
-    """
-    path, module, rule_ids, require_justification = args
-    from repro.statcheck.registry import all_rules
-
-    wanted = set(rule_ids)
-    rules = [cls() for cls in all_rules() if cls.id in wanted]
-    file = SourceFile.from_path(path, module=module)
-    return _check_one_file(file, rules, require_justification)
+    kept.extend(justification_findings(file))
+    return [finding.to_dict() for finding in kept], suppressed
 
 
 class IncrementalAnalyzer:
     """Wraps an :class:`Analyzer` with the module cache described above."""
 
-    def __init__(
-        self,
-        analyzer: Analyzer,
-        cache_path: str,
-        jobs: int = 1,
-    ) -> None:
+    def __init__(self, analyzer: Analyzer, cache_path: str) -> None:
         self.analyzer = analyzer
         self.cache_path = cache_path
-        self.jobs = max(1, jobs)
 
     # -- cache plumbing -------------------------------------------------
 
     def _rules_sig(self) -> str:
         parts = sorted(rule.id for rule in self.analyzer.rules)
-        parts.append(f"require_justification={self.analyzer.require_justification}")
         parts.append(f"format={_FORMAT_VERSION}")
         parts.append(f"tool={_tool_sig()}")
         return _sha256("\n".join(parts))
@@ -206,7 +155,7 @@ class IncrementalAnalyzer:
         shas: Dict[str, str],
         path_for: Dict[str, str],
         deps: Dict[str, Set[str]],
-        per_file: Dict[str, Tuple[List[Dict[str, Any]], int]],
+        per_file: Dict[str, _FileResult],
         report: AnalysisReport,
     ) -> None:
         modules: Dict[str, Any] = {}
@@ -252,17 +201,10 @@ class IncrementalAnalyzer:
     # -- analysis -------------------------------------------------------
 
     def analyze_paths(self, paths: Sequence[str]) -> AnalysisReport:
-        if self.analyzer.per_file_paths is not None:
-            # --changed-only narrows per-file coverage; caching those
-            # partial results would poison later full runs
-            return self.analyzer.analyze_paths(paths)
-
         file_paths = _collect_paths(paths)
         sources: Dict[str, str] = {}
         path_for: Dict[str, str] = {}
         shas: Dict[str, str] = {}
-        from repro.statcheck.engine import _module_for_path
-
         for path in file_paths:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
@@ -286,7 +228,6 @@ class IncrementalAnalyzer:
                 "hits": len(shas),
                 "misses": 0,
                 "hit_ratio": 1.0 if shas else 0.0,
-                "workers": self.jobs,
             }
             return AnalysisReport(
                 findings=[
@@ -329,7 +270,7 @@ class IncrementalAnalyzer:
             # source changed, which the sha check already catches
             return True
 
-        per_file: Dict[str, Tuple[List[Dict[str, Any]], int]] = {}
+        per_file: Dict[str, _FileResult] = {}
         misses: List[str] = []
         hits = 0
         for module in sorted(shas):
@@ -343,32 +284,10 @@ class IncrementalAnalyzer:
             else:
                 misses.append(module)
 
-        # analyze the misses, in parallel when asked to
-        if len(misses) > 1 and self.jobs > 1:
-            from repro.engine.scheduler import pooled_map
-
-            rule_ids = tuple(sorted(rule.id for rule in self.analyzer.rules))
-            work = [
-                (
-                    path_for[module],
-                    module,
-                    rule_ids,
-                    self.analyzer.require_justification,
-                )
-                for module in misses
-            ]
-            for module, findings, suppressed in pooled_map(
-                _pool_worker, work, workers=self.jobs
-            ):
-                per_file[module] = (findings, suppressed)
-        else:
-            for module in misses:
-                _, findings, suppressed = _check_one_file(
-                    by_module[module],
-                    self.analyzer.rules,
-                    self.analyzer.require_justification,
-                )
-                per_file[module] = (findings, suppressed)
+        for module in misses:
+            per_file[module] = _check_one_file(
+                by_module[module], self.analyzer.rules
+            )
 
         # cross-module rules always see the whole (re-parsed) project
         cross_raw: List[Finding] = []
@@ -401,7 +320,6 @@ class IncrementalAnalyzer:
             "hits": hits,
             "misses": len(misses),
             "hit_ratio": (hits / total) if total else 0.0,
-            "workers": self.jobs,
         }
         report = AnalysisReport(
             findings=findings,

@@ -16,7 +16,7 @@ def register(cls: R) -> R:
     """Class decorator adding a rule to the global registry.
 
     IDs are stable public API (they appear in suppressions and CI
-    baselines), so re-registering an existing ID is a programming error.
+    checks), so re-registering an existing ID is a programming error.
     """
     rule_id = cls.id
     if not rule_id:

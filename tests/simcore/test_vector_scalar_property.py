@@ -1,12 +1,12 @@
-"""Dynamic twin of VEC001: vector control-plane ops vs scalar arithmetic.
+"""Driver arrays vs scalar arithmetic: the batch core's vector control plane.
 
-VEC001 statically checks that every mutated driver array in
-``_GroupState`` has a scalar write-back partner; this module checks the
-*values*: random lane states pushed through the vectorized
-slew/voltage/energy expressions of ``control_round`` must match what the
-scalar objects -- real :class:`VoltageRegulator` and
-:class:`PowerModel` instances, not re-implementations -- compute for the
-same inputs, elementwise and bit for bit.  The FSM/scheduler phase is
+This module is the guard that the batch driver's ``_GroupState`` arrays
+agree with the scalar objects they stand in for: random lane states
+pushed through the vectorized slew/voltage/energy expressions of
+``control_round`` must match what the scalar objects -- real
+:class:`VoltageRegulator` and :class:`PowerModel` instances, not
+re-implementations -- compute for the same inputs, elementwise and bit
+for bit.  The FSM/scheduler phase is
 held (busy window pinned at infinity) so the round reduces to exactly
 the paired ops the batch core vectorized.
 """

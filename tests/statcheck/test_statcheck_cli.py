@@ -10,6 +10,12 @@ from repro.statcheck import cli as statcheck_cli
 from repro.statcheck.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
 
 
+@pytest.fixture(autouse=True)
+def _cwd_in_tmp(tmp_path, monkeypatch):
+    """Keep the default incremental cache file out of the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def clean_tree(tmp_path):
     (tmp_path / "ok.py").write_text("VALUE = 1\n", encoding="utf-8")
@@ -127,80 +133,6 @@ class TestModuleEntryPoint:
         assert "0 findings" in proc.stdout
 
 
-class TestChangedOnlyWidening:
-    @pytest.fixture
-    def dep_chain(self, tmp_path):
-        """c imports b imports a; d is unrelated; b carries a PY001 bug."""
-        (tmp_path / "a.py").write_text("VALUE = 1\n", encoding="utf-8")
-        (tmp_path / "b.py").write_text(
-            "import a\n\n\ndef f(memo={}):\n    return memo\n",
-            encoding="utf-8",
-        )
-        (tmp_path / "c.py").write_text("import b\n", encoding="utf-8")
-        (tmp_path / "d.py").write_text("OTHER = 2\n", encoding="utf-8")
-        return tmp_path
-
-    def test_widening_follows_reverse_imports_transitively(self, dep_chain):
-        changed = [str(dep_chain / "a.py")]
-        widened = statcheck_cli._widen_changed_paths(
-            changed, [str(dep_chain)]
-        )
-        assert widened == sorted(
-            str(dep_chain / name) for name in ("a.py", "b.py", "c.py")
-        )
-
-    def test_widening_keeps_unrelated_files_out(self, dep_chain):
-        changed = [str(dep_chain / "b.py")]
-        widened = statcheck_cli._widen_changed_paths(
-            changed, [str(dep_chain)]
-        )
-        assert str(dep_chain / "c.py") in widened
-        assert str(dep_chain / "a.py") not in widened
-        assert str(dep_chain / "d.py") not in widened
-
-    def test_widening_fails_open_on_unreadable_roots(self, tmp_path):
-        changed = [str(tmp_path / "gone.py"), str(tmp_path / "gone.py")]
-        widened = statcheck_cli._widen_changed_paths(
-            changed, [str(tmp_path / "no-such-dir")]
-        )
-        assert widened == [str(tmp_path / "gone.py")]
-
-    def test_changed_only_reports_findings_in_dependents(
-        self, dep_chain, capsys, monkeypatch
-    ):
-        """Changing only a.py must still surface b.py's per-file finding:
-        b's import-resolved facts were computed against the old a."""
-        monkeypatch.setattr(
-            statcheck_cli,
-            "_changed_paths",
-            lambda base: [str(dep_chain / "a.py")],
-        )
-        code = main([str(dep_chain), "--changed-only", "HEAD~1", "--json"])
-        assert code == EXIT_FINDINGS
-        payload = json.loads(capsys.readouterr().out)
-        files = {f["path"] for f in payload["findings"]}
-        assert str(dep_chain / "b.py") in files
-
-    def test_changed_only_still_skips_unaffected_files(
-        self, dep_chain, capsys, monkeypatch
-    ):
-        """A per-file finding in an unrelated file stays filtered out."""
-        (dep_chain / "d.py").write_text(
-            "def g(memo={}):\n    return memo\n", encoding="utf-8"
-        )
-        monkeypatch.setattr(
-            statcheck_cli,
-            "_changed_paths",
-            lambda base: [str(dep_chain / "a.py")],
-        )
-        code = main([str(dep_chain), "--changed-only", "HEAD~1", "--json"])
-        assert code == EXIT_FINDINGS
-        payload = json.loads(capsys.readouterr().out)
-        files = {f["path"] for f in payload["findings"]}
-        assert str(dep_chain / "d.py") not in files
-        assert str(dep_chain / "b.py") in files
-
-
 class TestStatsFlag:
     def test_stats_goes_to_stderr_not_stdout(self, clean_tree, capsys, tmp_path):
         cache = str(tmp_path / "cache.json")
@@ -229,3 +161,45 @@ class TestStatsFlag:
         out, err = capsys.readouterr()
         assert json.loads(out)["findings"]
         assert "statcheck stats:" in err
+
+
+class TestRequireJustificationCli:
+    """Unjustified suppressions fail without any flag (SUP001)."""
+
+    def test_bare_suppression_fails(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "mod.py").write_text(
+            "def f(memo={}):  # statcheck: disable=PY001\n"
+            "    return memo\n",
+            encoding="utf-8",
+        )
+        assert main(["--no-incremental", str(src)]) == EXIT_FINDINGS
+        assert "SUP001" in capsys.readouterr().out
+
+    def test_justified_suppression_passes(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "mod.py").write_text(
+            "def f(memo={}):  "
+            "# statcheck: disable=PY001 -- shared memo is the API\n"
+            "    return memo\n",
+            encoding="utf-8",
+        )
+        assert main(["--no-incremental", str(src)]) == EXIT_CLEAN
+
+
+@pytest.mark.parametrize("flags", [
+    ["--baseline", "base.json"],
+    ["--write-baseline", "base.json"],
+    ["--changed-only", "HEAD"],
+    ["--jobs", "2"],
+    ["--require-justification"],
+])
+def test_removed_flags_are_usage_errors(flags, clean_tree, capsys):
+    """Scripts still passing a removed flag fail loudly (argparse exit 2)
+    instead of running a check whose meaning silently changed."""
+    with pytest.raises(SystemExit) as exc:
+        main([clean_tree, *flags])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -21,7 +21,7 @@ class TestSuppressions:
     def test_pragma_on_wrong_line_does_not_suppress(self):
         source = (
             "import time\n"
-            "# statcheck: disable=DET002\n"
+            "# statcheck: disable=DET002 -- wall clock is the point\n"
             "def f():\n"
             "    return time.time()\n"
         )
@@ -33,7 +33,7 @@ class TestSuppressions:
 
     def test_file_pragma_suppresses_whole_file(self):
         source = (
-            "# statcheck: disable-file=DET002\n"
+            "# statcheck: disable-file=DET002 -- wall clock is the point\n"
             "import time\n"
             "def f():\n"
             "    return time.time() + time.monotonic()\n"
@@ -59,7 +59,7 @@ class TestSuppressions:
     def test_disable_all_wildcard(self):
         source = (
             "import time\n"
-            "def f(memo={}):  # statcheck: disable=all\n"
+            "def f(memo={}):  # statcheck: disable=all -- shared memo\n"
             "    return memo\n"
         )
         report = analyze(

@@ -1,4 +1,4 @@
-"""Incremental-analysis tests: cache hits, invalidation, parallel misses."""
+"""Incremental-analysis tests: cache hits and dependency invalidation."""
 
 import json
 import os
@@ -22,11 +22,8 @@ def tree(tmp_path):
     return tmp_path
 
 
-def _run(tree, cache_name="cache.json", jobs=1):
-    analyzer = Analyzer()
-    inc = IncrementalAnalyzer(
-        analyzer, cache_path=str(tree / cache_name), jobs=jobs
-    )
+def _run(tree):
+    inc = IncrementalAnalyzer(Analyzer(), cache_path=str(tree / "cache.json"))
     return inc.analyze_paths([str(tree / "pkg")])
 
 
@@ -95,18 +92,6 @@ class TestCacheLifecycle:
         (tree / "cache.json").write_text("{not json", encoding="utf-8")
         report = _run(tree)
         assert report.incremental["misses"] == 3
-
-    def test_parallel_and_serial_results_match(self, tree):
-        (tree / "pkg" / "bad.py").write_text(
-            "def f(memo={}):\n    return memo\n", encoding="utf-8"
-        )
-        serial = _run(tree, cache_name="serial.json", jobs=1)
-        parallel = _run(tree, cache_name="parallel.json", jobs=4)
-        assert [f.to_dict() for f in parallel.findings] == [
-            f.to_dict() for f in serial.findings
-        ]
-        assert parallel.suppressed == serial.suppressed
-        assert parallel.incremental["workers"] == 4
 
     def test_matches_non_incremental_analyzer(self, tree):
         (tree / "pkg" / "bad.py").write_text(

@@ -2,12 +2,17 @@
 
 This is the same invocation CI runs (`repro-dvfs check src`), so a
 failure here means a rule regressed or new code introduced a finding.
+The tree is analyzed cold once, into a temporary cache, and the tests
+that need the whole of ``src`` share that pass.
 """
 
 import os
 
+import pytest
+
 from repro.statcheck import Analyzer, all_rules
 from repro.statcheck.cli import EXIT_CLEAN, main
+from repro.statcheck.incremental import IncrementalAnalyzer
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
@@ -15,8 +20,19 @@ REPO_ROOT = os.path.abspath(
 SRC = os.path.join(REPO_ROOT, "src")
 
 
-def test_src_tree_is_clean():
-    assert main([SRC]) == EXIT_CLEAN
+@pytest.fixture(scope="module")
+def src_pass(tmp_path_factory):
+    """(cache file, report) of one cold incremental pass over ``src``."""
+    cache = str(tmp_path_factory.mktemp("statcheck") / "cache.json")
+    report = IncrementalAnalyzer(Analyzer(), cache_path=cache).analyze_paths(
+        [SRC]
+    )
+    return cache, report
+
+
+def test_src_tree_is_clean(src_pass):
+    cache, _ = src_pass
+    assert main([SRC, "--cache-file", cache]) == EXIT_CLEAN
 
 
 def test_at_least_twenty_rules_active():
@@ -34,8 +50,8 @@ def test_concurrency_rules_are_registered():
     assert expected <= ids
 
 
-def test_report_covers_whole_tree():
-    report = Analyzer().analyze_paths([SRC])
+def test_report_covers_whole_tree(src_pass):
+    _, report = src_pass
     assert report.files_scanned >= 60
     assert report.findings == []
     # the known, justified suppressions in mcd/processor.py
@@ -48,13 +64,10 @@ def test_analyzer_is_clean_on_its_own_source():
     assert report.findings == []
 
 
-def test_warm_incremental_run_hits_cache(tmp_path):
+def test_warm_incremental_run_hits_cache(src_pass):
     """A no-change rerun over src must serve >=80% of files from cache
     (in fact 100%: the project-level entry replays wholesale)."""
-    from repro.statcheck.incremental import IncrementalAnalyzer
-
-    cache = str(tmp_path / "cache.json")
-    IncrementalAnalyzer(Analyzer(), cache_path=cache).analyze_paths([SRC])
+    cache, _ = src_pass
     report = IncrementalAnalyzer(Analyzer(), cache_path=cache).analyze_paths(
         [SRC]
     )
