@@ -477,11 +477,10 @@ class MCDProcessor:
         dt = cfg.sample_period_ns
         record = self.record_history and sample_index % self.history_stride == 0
         # The perf_counter reads below feed only the PhaseProfiler's wall-time
-        # accounting; no simulated state ever depends on them, so the DET002
-        # wall-clock rule is suppressed at each site rather than file-wide.
+        # accounting; no simulated state ever depends on them.
         prof = self._profiler
         if prof is not None:
-            t0 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+            t0 = perf_counter()
 
         # -- latch: snapshot the queue occupancies for this period ---------
         occupancies = {d: self.queues[d].occupancy for d in CONTROLLED_DOMAINS}
@@ -490,7 +489,7 @@ class MCDProcessor:
             self.history.retired.append(self.rob.retired)
         self._freq_samples += 1
         if prof is not None:
-            t1 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+            t1 = perf_counter()
             prof.add("latch", t1 - t0)
 
         # -- observe: controllers see the latched occupancy and the
@@ -506,7 +505,7 @@ class MCDProcessor:
             if command is not None:
                 self._apply_command(time_ns, domain, regulator, command)
         if prof is not None:
-            t2 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+            t2 = perf_counter()
             prof.add("observe", t2 - t1)
 
         # -- slew: regulators ramp, clocks retune, background energy -------
@@ -537,7 +536,7 @@ class MCDProcessor:
         # Voltages may have moved: refresh the cached per-cycle energies.
         self._refresh_energy_coefficients()
         if prof is not None:
-            t3 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+            t3 = perf_counter()
             prof.add("slew", t3 - t2)
 
         # -- record: history series and per-sample metric events -----------
@@ -551,7 +550,7 @@ class MCDProcessor:
         if self._probe is not None and sample_index % self._obs_stride == 0:
             self._emit_samples(time_ns, occupancies)
         if prof is not None:
-            prof.add("record", perf_counter() - t3)  # statcheck: disable=DET002 -- profiling only
+            prof.add("record", perf_counter() - t3)
 
     def _apply_command(
         self,

@@ -30,7 +30,6 @@ import warnings
 from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 
 from repro.simcore.batch import run_batch
-from repro.simcore.markers import hot_path
 from repro.simcore.tables import SimTables, tables_for
 from repro.simcore.validate import assert_results_identical, results_identical
 from repro.simcore.wheel import EventWheel
@@ -54,7 +53,6 @@ __all__ = [
     "assert_results_identical",
     "batch_available",
     "create_processor",
-    "hot_path",
     "processor_class",
     "reset_degradation_warning",
     "resolve_core",

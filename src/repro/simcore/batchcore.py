@@ -64,7 +64,6 @@ from repro.core.controller import AdaptiveDvfsController
 from repro.mcd.domains import CONTROLLED_DOMAINS, DomainId
 from repro.mcd.processor import SimulationResult
 from repro.simcore.fast import FastMCDProcessor
-from repro.simcore.markers import hot_path
 from repro.simcore.tables import SimTables
 
 _INF = float("inf")
@@ -168,7 +167,6 @@ class BatchMCDProcessor(FastMCDProcessor):
     # the lane event stepper
     # ------------------------------------------------------------------
 
-    @hot_path
     def _lane_events(self) -> Generator[SampleOut, LaneUpdate, float]:  # noqa: C901
         """Event megaloop as a generator: yields at every sample event.
 
@@ -562,7 +560,7 @@ class BatchMCDProcessor(FastMCDProcessor):
                             if edge2 - t_ready < sync_window:
                                 sync_deferred += 1
                                 edge2 += per
-                            q_entries.append([edge2, idx])  # statcheck: disable=PERF001 -- the 2-list IS the queue entry (flat analogue of fast.py's per-dispatch QueueEntry); one allocation per dispatched instruction is the contract, not loop overhead
+                            q_entries.append([edge2, idx])
                             # ref: on_dispatch -> wake a sleeping domain
                             if sleeping[dtag]:
                                 wake_ns = edge2

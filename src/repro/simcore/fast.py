@@ -54,7 +54,6 @@ from repro.mcd.processor import (
 )
 from repro.mcd.queues import QueueEntry
 from repro.mcd.rob import RobEntry
-from repro.simcore.markers import hot_path
 from repro.simcore.tables import SimTables, tables_for
 from repro.simcore.wheel import EventWheel
 from repro.workloads.instructions import InstructionKind as K
@@ -186,7 +185,6 @@ class FastMCDProcessor(MCDProcessor):
     # the megaloop
     # ------------------------------------------------------------------
 
-    @hot_path
     def run(self, max_time_ns: Optional[float] = None) -> SimulationResult:  # noqa: C901
         """Simulate until the trace fully retires; return the result.
 
@@ -875,7 +873,7 @@ class FastMCDProcessor(MCDProcessor):
                 # ======================================================
                 sample_index += 1
                 if prof is not None:
-                    t0 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+                    t0 = perf_counter()
                 # -- latch ------------------------------------------------
                 occs[1] = len(entries_by_tag[1])
                 occs[2] = len(entries_by_tag[2])
@@ -886,7 +884,7 @@ class FastMCDProcessor(MCDProcessor):
                     h_ret_append(rob.retired)
                 freq_samples += 1
                 if prof is not None:
-                    t1 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+                    t1 = perf_counter()
                     prof_add("latch", t1 - t0)
                 # -- observe ----------------------------------------------
                 for dtag, denum, ctrl, reg in ctrl_rows:
@@ -894,7 +892,7 @@ class FastMCDProcessor(MCDProcessor):
                     if command is not None:
                         apply_command(time_ns, denum, reg, command)
                 if prof is not None:
-                    t2 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+                    t2 = perf_counter()
                     prof_add("observe", t2 - t1)
                 # -- slew -------------------------------------------------
                 for dtag, denum, reg in slew_rows:
@@ -952,7 +950,7 @@ class FastMCDProcessor(MCDProcessor):
                         ge[dtag] = row[2]
                 bd[d_fe] += fe_bg_e
                 if prof is not None:
-                    t3 = perf_counter()  # statcheck: disable=DET002 -- profiling only
+                    t3 = perf_counter()
                     prof_add("slew", t3 - t2)
                 # -- record -----------------------------------------------
                 if record:
@@ -967,10 +965,10 @@ class FastMCDProcessor(MCDProcessor):
                     # enum-keyed occupancy mapping.
                     emit_samples(
                         time_ns,
-                        {d_int: occs[1], d_fp: occs[2], d_ls: occs[3]},  # statcheck: disable=PERF001 -- obs-only cold branch; _emit_samples takes the reference's enum-keyed dict
+                        {d_int: occs[1], d_fp: occs[2], d_ls: occs[3]},
                     )
                 if prof is not None:
-                    prof_add("record", perf_counter() - t3)  # statcheck: disable=DET002 -- profiling only
+                    prof_add("record", perf_counter() - t3)
                 seq += 1
                 heappush(heap, (time_ns + dt, 4, seq, 0))
             else:

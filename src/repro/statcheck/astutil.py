@@ -87,7 +87,7 @@ def location(node: ast.AST) -> Tuple[int, int]:
 
 
 #: Executor/pool methods whose first argument is the remote callable.
-#: Shared by the POOL001 rule and the call graph's worker-entry detection.
+#: Used by the call graph's worker-entry detection.
 SUBMIT_METHODS = frozenset(
     {
         "apply",

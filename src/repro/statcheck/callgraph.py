@@ -8,8 +8,7 @@ SymbolTable`; edges are added for the call shapes this codebase uses:
 * **method calls** -- ``self.method(x)`` / ``cls.method(x)`` resolved
   against the enclosing class and its project-resolvable bases;
 * **pool submissions** -- ``executor.submit(fn, ...)`` and friends (see
-  :data:`~repro.statcheck.astutil.SUBMIT_METHODS`), plus calls to the
-  engine's :func:`repro.engine.scheduler.pooled_map`.  Any argument that
+  :data:`~repro.statcheck.astutil.SUBMIT_METHODS`).  Any argument that
   statically resolves to a project function gets a call edge *and* is
   recorded as a **worker entry point**: it runs inside a pool worker
   process, which is what the RACE001 shared-state rule keys on;
@@ -61,10 +60,6 @@ from repro.statcheck.semantic import (
     FunctionInfo,
     SymbolTable,
 )
-
-#: Plain functions that forward their callable argument into pool
-#: workers (the sweep engine's generic parallel map).
-POOLED_MAP_NAMES = frozenset({"pooled_map"})
 
 #: ``X.create_task(coro)`` / ``X.ensure_future(coro)`` -- the coroutine
 #: is scheduled onto the event loop.  The attribute names are specific
@@ -247,16 +242,11 @@ class CallGraph:
                 continue
             # pool submissions: every statically-resolvable argument
             # crosses into a worker process
-            is_submit = is_pool_submit(node)
-            func_name = dotted_name(node.func)
-            is_pooled_map = func_name is not None and (
-                func_name in POOLED_MAP_NAMES
-                or func_name.rsplit(".", 1)[-1] in POOLED_MAP_NAMES
-            )
-            if is_submit or is_pooled_map:
+            if is_pool_submit(node):
                 for arg in node.args:
                     self._callable_arg_edge(fn, arg, line, "pool", claimed)
                 continue
+            func_name = dotted_name(node.func)
             resolved = resolve_call(node.func, imports)
             # executor dispatch: loop.run_in_executor(pool, fn, *args)
             if (

@@ -7,8 +7,8 @@ The serve layer (PRs 6-7) runs one program in three execution contexts:
   ``call_soon_threadsafe`` / ``run_coroutine_threadsafe``;
 * **threads** -- ``threading.Thread(target=...)`` bodies and callables
   dispatched through ``loop.run_in_executor``;
-* **pool workers** -- callables crossing ``executor.submit`` /
-  ``pooled_map`` into worker processes (the RACE001 model).
+* **pool workers** -- callables crossing ``executor.submit`` into
+  worker processes (the RACE001 model).
 
 The concurrency rules (ASYNC001/003, LOCK001) are all *reachability
 questions over contexts*: "can a blocking call execute on the loop",

@@ -18,7 +18,9 @@ Suppressions
 reported at suppresses it there; ``# statcheck: disable-file=RULE`` on
 any line suppresses the rule for the whole file; ``all`` matches every
 rule.  Every suppression must carry a justification after ``--``; a
-bare pragma is itself reported as ``SUP001``.
+bare pragma is itself reported as ``SUP001``, and so is a pragma naming
+a rule ID the registry does not know (a typo, or a deleted rule whose
+suppressions would otherwise linger silently).
 """
 
 from __future__ import annotations
@@ -226,22 +228,39 @@ class Rule:
 
 
 def justification_findings(file: SourceFile) -> List[Finding]:
-    """One :data:`SUPPRESSION_RULE` finding per pragma without a reason."""
-    return [
-        Finding(
-            rule=SUPPRESSION_RULE,
-            severity=Severity.ERROR,
-            path=file.path,
-            line=pragma.line,
-            col=0,
-            message=(
+    """:data:`SUPPRESSION_RULE` findings for the file's pragmas.
+
+    One per pragma without a reason, and one per pragma naming rule IDs
+    the registry does not know.  The check is against the registry, not
+    the ``--select`` set, so a pragma for an unselected rule stays quiet.
+    """
+    known = {cls.id for cls in all_rules()} | {"all", PARSE_ERROR_RULE}
+    findings: List[Finding] = []
+    for pragma in file.pragmas:
+        problems: List[str] = []
+        if pragma.reason is None:
+            problems.append(
                 f"suppression of {', '.join(pragma.rules)} carries no "
                 "justification; append '-- <reason>' to the pragma"
-            ),
+            )
+        unknown = [rule for rule in pragma.rules if rule not in known]
+        if unknown:
+            problems.append(
+                f"suppression names unknown rule(s) {', '.join(unknown)}; "
+                "remove the stale pragma or fix the rule ID"
+            )
+        findings.extend(
+            Finding(
+                rule=SUPPRESSION_RULE,
+                severity=Severity.ERROR,
+                path=file.path,
+                line=pragma.line,
+                col=0,
+                message=message,
+            )
+            for message in problems
         )
-        for pragma in file.pragmas
-        if pragma.reason is None
-    ]
+    return findings
 
 
 @dataclass

@@ -11,7 +11,7 @@ the common case cheap:
 * a **project entry** keyed on the shas of *all* modules (plus the rule
   signature) caches the complete report, so a fully-warm run parses
   nothing at all and just replays findings;
-* cross-module rules (SIM001, RACE001, ...) always run over the full
+* cross-module rules (RACE001, CACHE001, ...) always run over the full
   project when anything at all changed -- only the fully-warm fast path
   skips them, and it replays their cached findings.
 

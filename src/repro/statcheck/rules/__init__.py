@@ -9,10 +9,7 @@ from repro.statcheck.rules import (  # noqa: F401  (import-for-registration)
     lock,
     metrics_labels,
     obs_events,
-    perf,
-    pool,
     race,
-    simcontract,
     span_discipline,
     units,
 )

@@ -2,11 +2,11 @@
 
 Every simulation result is cached content-addressed and compared across
 process-pool and serial execution, so any nondeterminism -- a shared
-global RNG, a wall-clock read feeding simulated state, hashing in
-set-iteration order -- silently corrupts sweeps rather than failing
-loudly.  These rules push all randomness through injected, seeded
-``random.Random`` / ``numpy`` Generator instances and keep host time out
-of simulated code.
+global RNG, hashing in set-iteration order -- silently corrupts sweeps
+rather than failing loudly.  These rules push all randomness through
+injected, seeded ``random.Random`` / ``numpy`` Generator instances and
+keep cache-key hashing order-independent.  (A host-clock read that
+reaches a result is caught at run time by the same-seed hash test.)
 """
 
 from __future__ import annotations
@@ -59,27 +59,6 @@ _GLOBAL_RANDOM_FUNCS = frozenset(
 #: ``numpy.random`` attributes that do NOT touch the legacy global state.
 _NUMPY_RANDOM_OK = frozenset(
     {"Generator", "RandomState", "SeedSequence", "default_rng"}
-)
-
-#: Host-clock reads.  ``perf_counter`` is monotonic rather than wall
-#: clock, but a read is a read: any control or simulation decision based
-#: on it varies run to run.  Code that only *profiles* with it carries a
-#: justified file-level suppression.
-_WALL_CLOCK = frozenset(
-    {
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.time",
-        "time.time_ns",
-        "datetime.date.today",
-        "datetime.datetime.now",
-        "datetime.datetime.today",
-        "datetime.datetime.utcnow",
-    }
 )
 
 #: Hash entry points whose inputs must be deterministically ordered.
@@ -138,33 +117,6 @@ class UnseededRandomRule(Rule):
                     node,
                     f"call to legacy global {resolved}() is unseeded shared "
                     "state; use numpy.random.default_rng(seed)",
-                )
-
-
-@register
-class WallClockRule(Rule):
-    """DET002: host-clock reads have no place in simulated time."""
-
-    id = "DET002"
-    description = (
-        "no wall-clock reads (time.time, perf_counter, datetime.now, ...) "
-        "in simulation or controller code; simulated time is the only clock"
-    )
-    scope = SIMULATION_SCOPE
-
-    def check_file(self, file: SourceFile) -> Iterator[Finding]:
-        assert file.tree is not None
-        imports = import_map(file.tree)
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_call(node.func, imports)
-            if resolved in _WALL_CLOCK:
-                yield self.finding(
-                    file,
-                    node,
-                    f"host clock read {resolved}() in simulation/controller "
-                    "code; derive timing from simulated time instead",
                 )
 
 

@@ -13,7 +13,7 @@ This rule combines the semantic layer's pieces: the
 names are mutable containers, the
 :class:`~repro.statcheck.callgraph.CallGraph` knows which functions are
 reachable from pool submissions (``executor.submit(fn, ...)``,
-``pool.map(fn, ...)``, ``pooled_map(fn, ...)``).  Any mutation of a
+``pool.map(fn, ...)``).  Any mutation of a
 module-level mutable inside a worker-reachable function is flagged,
 with the worker entry point it is reachable from named in the message.
 
@@ -144,7 +144,7 @@ class PoolSharedStateRule(Rule):
     id = "RACE001"
     description = (
         "functions reachable from pool-worker entry points (executor/pool "
-        "submissions, pooled_map) must not mutate module-level mutable "
+        "submissions) must not mutate module-level mutable "
         "containers: worker processes mutate private copies, and the "
         "serial fallback silently changes the sharing semantics"
     )

@@ -1,7 +1,7 @@
 """Project-wide symbol table: the semantic layer's ground truth.
 
 The syntactic rules of PR 3 look at one AST at a time; the semantic
-rules (UNIT001/SIM001/RACE001) need to answer *project* questions --
+rules (UNIT001/RACE001) need to answer *project* questions --
 "which function does this call resolve to", "which module-level names
 are mutable", "what does module A import from module B".  This module
 builds that index once per analysis run:
@@ -287,14 +287,6 @@ class SymbolTable:
         resolved_head = info.imports.get(head, head)
         full = f"{resolved_head}.{rest}" if rest else resolved_head
         return self.classes.get(full)
-
-    def classes_named(self, name: str) -> List[ClassInfo]:
-        """Every project class with the given bare name (stable order)."""
-        return [
-            cls
-            for qualname, cls in sorted(self.classes.items())
-            if cls.name == name
-        ]
 
     def mro_methods(self, cls: ClassInfo, method: str) -> List[FunctionInfo]:
         """The method implementations ``cls`` (or a project base) provides.

@@ -2,8 +2,6 @@
 
 import os
 
-import pytest
-
 from repro.statcheck import Analyzer, SourceFile
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -28,7 +26,3 @@ def findings_for(name, rule_id, module=IN_SCOPE):
     report = analyzer.analyze([load_fixture(name, module=module)])
     return [f for f in report.findings if f.rule == rule_id]
 
-
-@pytest.fixture
-def fixtures_dir():
-    return FIXTURES

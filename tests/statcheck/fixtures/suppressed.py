@@ -1,14 +1,16 @@
 """Suppression fixture: every finding here carries a pragma."""
 
-import time
+import random
 
 
-def profiled(job):
-    started = time.time()  # statcheck: disable=DET002 -- profiling only
+def jittered(job):
+    noise = random.random()  # statcheck: disable=DET001 -- display-only jitter, never simulated
     result = job.run()
-    return result, time.time() - started  # statcheck: disable=all -- wall-clock timing is the point here
+    return result, noise + random.random()  # statcheck: disable=all -- display-only jitter
 
 
-def accumulate(value, seen=[]):  # statcheck: disable=PY001 -- module-lifetime memo by design
-    seen.append(value)
-    return seen
+def best_effort(job):
+    try:
+        return job.run()
+    except:  # statcheck: disable=PY002 -- any failure means "no result" by design
+        return None

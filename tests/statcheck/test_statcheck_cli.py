@@ -25,7 +25,8 @@ def clean_tree(tmp_path):
 @pytest.fixture
 def dirty_tree(tmp_path):
     (tmp_path / "bad.py").write_text(
-        "def f(memo={}):\n    return memo\n", encoding="utf-8"
+        "def f():\n    try:\n        return 1\n    except:\n        return 0\n",
+        encoding="utf-8",
     )
     return str(tmp_path)
 
@@ -37,7 +38,7 @@ class TestExitCodes:
 
     def test_findings_exit_one(self, dirty_tree, capsys):
         assert main([dirty_tree]) == EXIT_FINDINGS
-        assert "PY001" in capsys.readouterr().out
+        assert "PY002" in capsys.readouterr().out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["/no/such/path-xyz"]) == EXIT_ERROR
@@ -80,7 +81,7 @@ class TestFormatsAndListing:
     def test_json_format(self, dirty_tree, capsys):
         assert main([dirty_tree, "--format", "json"]) == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "PY001"
+        assert payload["findings"][0]["rule"] == "PY002"
 
     def test_sarif_format(self, clean_tree, capsys):
         assert main([clean_tree, "--format", "sarif"]) == EXIT_CLEAN
@@ -91,14 +92,14 @@ class TestFormatsAndListing:
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule_id in (
-            "DET001", "DET002", "DET003", "CTL001", "CACHE001",
-            "POOL001", "OBS001", "PY001", "PY002",
+            "DET001", "DET003", "CTL001", "CACHE001",
+            "RACE001", "OBS001", "PY002", "UNIT001",
         ):
             assert rule_id in out
 
     def test_select_and_ignore(self, dirty_tree, capsys):
-        assert main([dirty_tree, "--ignore", "PY001"]) == EXIT_CLEAN
-        assert main([dirty_tree, "--select", "PY002"]) == EXIT_CLEAN
+        assert main([dirty_tree, "--ignore", "PY002"]) == EXIT_CLEAN
+        assert main([dirty_tree, "--select", "DET001"]) == EXIT_CLEAN
 
 
 class TestReproDvfsSubcommand:
@@ -154,7 +155,7 @@ class TestStatsFlag:
     def test_stats_counts_findings_per_rule(self, dirty_tree, capsys):
         code = main([dirty_tree, "--stats", "--no-incremental"])
         assert code == EXIT_FINDINGS
-        assert "findings=PY001:1" in capsys.readouterr().err
+        assert "findings=PY002:1" in capsys.readouterr().err
 
     def test_stats_keeps_json_stdout_pure(self, dirty_tree, capsys):
         main([dirty_tree, "--stats", "--json", "--no-incremental"])
@@ -170,8 +171,11 @@ class TestRequireJustificationCli:
         src = tmp_path / "src"
         src.mkdir()
         (src / "mod.py").write_text(
-            "def f(memo={}):  # statcheck: disable=PY001\n"
-            "    return memo\n",
+            "def f():\n"
+            "    try:\n"
+            "        return 1\n"
+            "    except:  # statcheck: disable=PY002\n"
+            "        return 0\n",
             encoding="utf-8",
         )
         assert main(["--no-incremental", str(src)]) == EXIT_FINDINGS
@@ -181,12 +185,26 @@ class TestRequireJustificationCli:
         src = tmp_path / "src"
         src.mkdir()
         (src / "mod.py").write_text(
-            "def f(memo={}):  "
-            "# statcheck: disable=PY001 -- shared memo is the API\n"
-            "    return memo\n",
+            "def f():\n"
+            "    try:\n"
+            "        return 1\n"
+            "    except:  # statcheck: disable=PY002 -- any failure means 0\n"
+            "        return 0\n",
             encoding="utf-8",
         )
         assert main(["--no-incremental", str(src)]) == EXIT_CLEAN
+
+    def test_stale_suppression_fails_on_the_incremental_path(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "mod.py").write_text(
+            "x = 1  # statcheck: disable=NOPE001 -- stale\n",
+            encoding="utf-8",
+        )
+        assert main([str(src)]) == EXIT_FINDINGS
+        assert "SUP001" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [

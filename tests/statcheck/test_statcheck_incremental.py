@@ -69,10 +69,11 @@ class TestCacheLifecycle:
 
     def test_cached_findings_round_trip(self, tree):
         (tree / "pkg" / "bad.py").write_text(
-            "def f(memo={}):\n    return memo\n", encoding="utf-8"
+            "def f():\n    try:\n        return 1\n    except:\n        return 0\n",
+            encoding="utf-8",
         )
         first = _run(tree)
-        assert any(f.rule == "PY001" for f in first.findings)
+        assert any(f.rule == "PY002" for f in first.findings)
         second = _run(tree)
         assert second.incremental["project_hit"]
         assert [f.to_dict() for f in second.findings] == [
@@ -81,7 +82,7 @@ class TestCacheLifecycle:
 
     def test_rule_selection_invalidates_the_cache(self, tree):
         _run(tree)
-        analyzer = Analyzer(select=["PY001"])
+        analyzer = Analyzer(select=["PY002"])
         inc = IncrementalAnalyzer(
             analyzer, cache_path=str(tree / "cache.json")
         )
@@ -96,8 +97,11 @@ class TestCacheLifecycle:
     def test_matches_non_incremental_analyzer(self, tree):
         (tree / "pkg" / "bad.py").write_text(
             "import random\n"
-            "def f(memo={}):\n"
-            "    return memo\n",
+            "def f():\n"
+            "    try:\n"
+            "        return random.random()\n"
+            "    except:\n"
+            "        return 0.0\n",
             encoding="utf-8",
         )
         plain = Analyzer().analyze_paths([str(tree / "pkg")])
