@@ -2,8 +2,11 @@
 
 Runs one mid-size adaptive simulation three ways -- observability off,
 metrics-only, and full tracing -- and records simulator throughput
-(sampling periods per wall-second) plus the per-phase wall-time split
-reported by the :class:`~repro.obs.PhaseProfiler`.
+(sampling periods per wall-second of ``processor.run()``, the same
+denominator for all three) plus the per-phase wall-time split reported by
+the :class:`~repro.obs.PhaseProfiler`.  Every configuration, and both
+engine runs, start from an empty :mod:`repro.simcore.inputs` memo, so none
+of them reuses a trace or jitter stream another one drew.
 
 Besides the usual human-readable table, this bench writes
 ``benchmarks/results/BENCH_obs.json`` so successive PRs can diff the
@@ -21,12 +24,14 @@ from conftest import RESULTS_DIR, emit, run_once
 
 from repro.engine import SweepEngine
 from repro.engine.jobs import SweepJob
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import build_controllers
 from repro.harness.persistence import result_to_dict
 from repro.harness.reporting import format_table
 from repro.obs import SAMPLE_PHASES, ObsConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
+from repro.simcore import create_processor, inputs
+from repro.workloads.suite import get_benchmark
 
 BENCHMARK = "adpcm-encode"
 INSTRUCTIONS = 50_000
@@ -35,14 +40,20 @@ ENGINE_SEEDS = (1, 2, 3, 4)
 
 
 def _timed_run(obs):
-    started = time.perf_counter()
-    result = run_experiment(
-        BENCHMARK,
-        scheme="adaptive",
-        max_instructions=INSTRUCTIONS,
+    """One cold-memo run; times ``processor.run()`` only."""
+    inputs.clear()
+    spec = get_benchmark(BENCHMARK)
+    processor = create_processor(
+        trace=inputs.trace_for(spec, max_instructions=INSTRUCTIONS),
+        controllers=build_controllers("adaptive"),
+        seed=spec.seed,
         record_history=False,
+        benchmark=BENCHMARK,
+        scheme="adaptive",
         obs=obs,
     )
+    started = time.perf_counter()
+    result = processor.run()
     return result, time.perf_counter() - started
 
 
@@ -72,10 +83,12 @@ def _measure_engine():
     same bytes -- observability may never perturb results -- and the
     wall-time ratio tracks what turning metrics on costs per run.
     """
+    inputs.clear()
     started = time.perf_counter()
     plain = SweepEngine().run(_engine_jobs())
     disabled_s = time.perf_counter() - started
 
+    inputs.clear()
     started = time.perf_counter()
     metered = SweepEngine(
         metrics=MetricsRegistry(), tracer=SpanRecorder()
@@ -91,15 +104,12 @@ def _measure_engine():
 
 def _measure():
     _, disabled_s = _timed_run(obs=None)
-    metrics_result, metrics_s = _timed_run(
-        obs=ObsConfig(trace=False, profile=True)
-    )
+    _, metrics_s = _timed_run(obs=ObsConfig(trace=False, profile=True))
     traced_result, traced_s = _timed_run(obs=ObsConfig())
     data = {
         "disabled_s": disabled_s,
         "metrics_s": metrics_s,
         "traced_s": traced_s,
-        "metrics_profile": metrics_result.probe_summary["profile"],
         "traced_profile": traced_result.probe_summary["profile"],
         "traced_counters": traced_result.probe_summary["counters"],
     }
@@ -118,8 +128,8 @@ def test_observability_overhead(benchmark):
         "samples": samples,
         "samples_per_s": {
             "disabled": samples / data["disabled_s"],
-            "metrics_only": data["metrics_profile"]["samples_per_s"],
-            "full_trace": profile["samples_per_s"],
+            "metrics_only": samples / data["metrics_s"],
+            "full_trace": samples / data["traced_s"],
         },
         "overhead_ratio": {
             "metrics_only": data["metrics_s"] / data["disabled_s"],

@@ -3,7 +3,12 @@
 Times ``processor.run()`` for both scalar cores on the same pre-generated
 trace (gzip, 60k instructions, adaptive control) and records
 instructions/sec, samples/sec, and the fast core's per-phase wall-time
-split.  A second section times a 64-seed batch through
+split.  The fast core reads its clock jitter from the per-process memo of
+:mod:`repro.simcore.inputs`, so it is timed two ways: ``cores.fast`` is
+the first run of the seed (memo emptied before every round, as a
+fresh-seed request meets it), ``fast_warm`` a repeat run of the same seed
+(jitter streams already drawn, as every scheme after the first of a sweep
+meets them).  A second section times a 64-seed batch through
 :class:`repro.simcore.soa.BatchSimulator` against the same 64 lanes run
 serially on the reference core, reporting aggregate instructions/sec and
 ``batch_speedup_64``.  Trace generation and controller/processor
@@ -40,7 +45,7 @@ from conftest import RESULTS_DIR, emit, run_once
 from repro.harness.experiment import build_controllers, run_experiment
 from repro.harness.reporting import format_table
 from repro.obs import ObsConfig
-from repro.simcore import create_processor, results_identical
+from repro.simcore import create_processor, inputs, results_identical
 from repro.workloads.generator import generate_trace
 from repro.workloads.suite import get_benchmark
 
@@ -82,10 +87,15 @@ def _measure():
     for core in ("ref", "fast"):
         best = None
         for _ in range(ROUNDS):
+            inputs.clear()  # every round is the seed's first run
             result, wall_s = _timed_run(trace, core)
             best = wall_s if best is None or wall_s < best else best
         results[core] = result
         walls[core] = best
+    # the last cold round left the seed's jitter streams in the memo
+    results["fast_warm"], walls["fast_warm"] = min(
+        (_timed_run(trace, "fast") for _ in range(ROUNDS)), key=lambda rw: rw[1]
+    )
 
     # per-phase wall split of the fast core's sample path (PhaseProfiler)
     profiled = run_experiment(
@@ -103,10 +113,19 @@ def _measure():
 def test_simcore_throughput(benchmark):
     results, walls, profile = run_once(benchmark, _measure)
 
-    identical = results_identical(results["ref"], results["fast"])
+    identical = results_identical(
+        results["ref"], results["fast"]
+    ) and results_identical(results["ref"], results["fast_warm"])
     instructions = results["fast"].instructions
     samples = profile["samples"]
     speedup = walls["ref"] / walls["fast"]
+
+    def throughput(core):
+        return {
+            "wall_s": walls[core],
+            "instr_per_s": instructions / walls[core],
+            "samples_per_s": samples / walls[core],
+        }
 
     payload = {
         "benchmark": BENCHMARK,
@@ -114,15 +133,10 @@ def test_simcore_throughput(benchmark):
         "scheme": SCHEME,
         "seed": SEED,
         "samples": samples,
-        "cores": {
-            core: {
-                "wall_s": walls[core],
-                "instr_per_s": instructions / walls[core],
-                "samples_per_s": samples / walls[core],
-            }
-            for core in ("ref", "fast")
-        },
+        "cores": {core: throughput(core) for core in ("ref", "fast")},
+        "fast_warm": throughput("fast_warm"),
         "speedup": speedup,
+        "warm_speedup": walls["fast"] / walls["fast_warm"],
         "identical": identical,
         "phases": profile["phases"],
     }
@@ -139,9 +153,10 @@ def test_simcore_throughput(benchmark):
             f"{instructions / walls[core]:,.0f}",
             f"{samples / walls[core]:,.0f}",
         ]
-        for core in ("ref", "fast")
+        for core in ("ref", "fast", "fast_warm")
     ]
     rows.append(["speedup", f"{speedup:.2f}x", "", ""])
+    rows.append(["warm_speedup", f"{payload['warm_speedup']:.2f}x", "", ""])
     for phase, stats in sorted(profile["phases"].items()):
         rows.append(
             [

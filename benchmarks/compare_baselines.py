@@ -34,6 +34,7 @@ TRACKED = {
     "BENCH_simcore.json": [
         ("cores.ref.instr_per_s", "higher"),
         ("cores.fast.instr_per_s", "higher"),
+        ("fast_warm.instr_per_s", "higher"),
         ("speedup", "higher"),
         ("batch_cores.batch.instr_per_s", "higher"),
         ("batch_speedup_64", "higher"),

@@ -15,7 +15,7 @@ from repro.dvfs.pid import PidConfig, PidController
 from repro.mcd.domains import CONTROLLED_DOMAINS, DomainId, MachineConfig
 from repro.mcd.processor import SimulationResult
 from repro.simcore import create_processor
-from repro.workloads.generator import generate_trace
+from repro.simcore.inputs import trace_for
 from repro.workloads.phases import BenchmarkSpec
 from repro.workloads.suite import get_benchmark
 
@@ -125,7 +125,8 @@ def run_experiment(
     # jitter RNG: an explicit ``seed`` overrides the spec's default for both
     # (previously the override never reached the processor).
     effective_seed = spec.seed if seed is None else seed
-    trace = generate_trace(spec, max_instructions=max_instructions, seed=seed)
+    # the same (spec, window, seed) recurs across schemes: share its trace
+    trace = trace_for(spec, max_instructions=max_instructions, seed=seed)
     controllers = build_controllers(
         scheme,
         machine=machine,

@@ -11,9 +11,14 @@ purely from how the same arithmetic is dispatched, never from changing it:
   local variables, eliminating ~20 attribute/property/method dispatches per
   simulated event;
 * **trace-parallel arrays** -- per-instruction latency, busy time, FU pool,
-  domain tag, store/branch flags are precomputed once per trace, replacing
-  per-issue enum-keyed dict lookups (enum ``__hash__`` is Python-level and
-  profiled as ~8% of reference wall time);
+  domain tag, store/branch flags are precomputed once per trace from one
+  table row per instruction kind, replacing per-issue enum-keyed dict
+  lookups (enum ``__hash__`` is Python-level and profiled as ~8% of
+  reference wall time);
+* **memoized jitter** -- each clock edge reads the next value of its
+  clock's precomputed ``rng.gauss(0.0, sigma)`` stream
+  (:func:`repro.simcore.inputs.jitter_stream`) instead of calling
+  ``gauss`` itself;
 * **tag-indexed wake scheduler** -- :class:`repro.simcore.wheel.EventWheel`
   lists replace the ``Dict[DomainId, ...]`` sleep/timer/generation maps;
 * **lookup tables** -- :class:`repro.simcore.tables.SimTables` memoizes
@@ -27,9 +32,12 @@ purely from how the same arithmetic is dispatched, never from changing it:
 
 The bit-identical contract imposes hard rules on every edit here: float
 expressions must keep the reference's operand order and association
-(``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); ``rng.gauss`` call
-count and order per clock must match (gauss caches a second variate); and
-heap pushes must happen in the reference's order so sequence numbers -- the
+(``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); every clock edge
+at which the reference's ``clock.advance()`` draws jitter must read exactly
+one value from that clock's stream, in edge order, and nothing else may
+read it (the stream is the reference's ``gauss`` sequence, cached second
+variate included, so one read per draw keeps the two aligned); and heap
+pushes must happen in the reference's order so sequence numbers -- the
 tie-breakers for same-time events -- are identical.  Golden-equivalence
 tests in ``tests/simcore/`` enforce the contract for every controller style.
 """
@@ -39,7 +47,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from math import ceil
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.mcd.domains import (
     CONTROLLED_DOMAINS,
@@ -54,8 +62,10 @@ from repro.mcd.processor import (
 )
 from repro.mcd.queues import QueueEntry
 from repro.mcd.rob import RobEntry
+from repro.simcore.inputs import jitter_stream
 from repro.simcore.tables import SimTables, tables_for
 from repro.simcore.wheel import EventWheel
+from repro.workloads.instructions import Instruction
 from repro.workloads.instructions import InstructionKind as K
 
 _INF = float("inf")
@@ -64,6 +74,48 @@ _INF = float("inf")
 _MULDIV_KINDS = frozenset({K.INT_MUL, K.INT_DIV, K.FP_MUL, K.FP_DIV, K.FP_SQRT})
 #: kinds whose FU accepts a new op every cycle (mirrors execcore._PIPELINED)
 _PIPELINED = frozenset({K.INT_ALU, K.BRANCH, K.FP_ADD, K.FP_MUL, K.INT_MUL})
+
+
+class TraceColumns(NamedTuple):
+    """Trace-parallel per-instruction arrays, indexed by ``inst.index``."""
+
+    latency: Tuple[int, ...]
+    busy: Tuple[int, ...]
+    tag: bytes
+    muldiv: bytes
+    store: bytes
+    branch: bytes
+
+
+def _kind_row(kind: K) -> Tuple[int, int, int, int, int, int]:
+    latency = FU_LATENCY_CYCLES[kind]
+    return (
+        latency,
+        1 if kind in _PIPELINED else latency,
+        _EDGE_TAG[execution_domain(kind)],
+        1 if kind in _MULDIV_KINDS else 0,
+        1 if kind is K.STORE else 0,
+        1 if kind is K.BRANCH else 0,
+    )
+
+
+#: one column row per kind, keyed by identity: enum members are
+#: singletons, and Enum.__hash__ is a Python-level call per lookup
+_ROW_BY_KIND_ID = {id(kind): _kind_row(kind) for kind in K}
+#: the row of an index no instruction carries
+_EMPTY_ROW = (0, 0, 0, 0, 0, 0)
+
+
+def build_columns(trace: Sequence[Instruction]) -> TraceColumns:
+    """The trace-parallel arrays of ``trace``, one kind-table row each."""
+    rows = [_EMPTY_ROW] * (1 + max(inst.index for inst in trace))
+    row_by_kind = _ROW_BY_KIND_ID
+    for inst in trace:
+        rows[inst.index] = row_by_kind[id(inst.kind)]
+    latency, busy, tag, muldiv, store, branch = zip(*rows)
+    return TraceColumns(
+        latency, busy, bytes(tag), bytes(muldiv), bytes(store), bytes(branch)
+    )
 
 
 class FastMCDProcessor(MCDProcessor):
@@ -81,32 +133,13 @@ class FastMCDProcessor(MCDProcessor):
         self._heap = self._wheel.heap
 
         # --- trace-parallel instruction arrays (index = inst.index) -------
-        trace = self.trace
-        n = 0
-        for inst in trace:
-            if inst.index >= n:
-                n = inst.index + 1
-        lat = [0] * n
-        busy = [0] * n
-        tags = bytearray(n)
-        muldiv = bytearray(n)
-        is_store = bytearray(n)
-        is_branch = bytearray(n)
-        for inst in trace:
-            i = inst.index
-            kind = inst.kind
-            lat[i] = FU_LATENCY_CYCLES[kind]
-            busy[i] = 1 if kind in _PIPELINED else lat[i]
-            tags[i] = _EDGE_TAG[execution_domain(kind)]
-            muldiv[i] = 1 if kind in _MULDIV_KINDS else 0
-            is_store[i] = 1 if kind is K.STORE else 0
-            is_branch[i] = 1 if kind is K.BRANCH else 0
-        self._lat_arr = lat
-        self._busy_arr = busy
-        self._tag_arr = tags
-        self._muldiv_arr = muldiv
-        self._store_arr = is_store
-        self._branch_arr = is_branch
+        columns = build_columns(self.trace)
+        self._lat_arr = columns.latency
+        self._busy_arr = columns.busy
+        self._tag_arr = columns.tag
+        self._muldiv_arr = columns.muldiv
+        self._store_arr = columns.store
+        self._branch_arr = columns.branch
 
         # --- per-sample row structures (built once, iterated per sample) --
         self._ctrl_rows = [
@@ -215,7 +248,10 @@ class FastMCDProcessor(MCDProcessor):
             self.clocks[DomainId.LS],
         ]
         sigma = cfg.jitter_sigma_ns
-        gauss = [c._rng.gauss for c in clocks]
+        # per-clock readers of the memoized rng.gauss(0.0, sigma) streams
+        jitter = (
+            [jitter_stream(c._rng, sigma).reader() for c in clocks] if sigma else []
+        )
         freqs = [c._freq_ghz for c in clocks]
         periods = [1.0 / f for f in freqs]
         neg04 = [-0.4 * p for p in periods]
@@ -365,7 +401,7 @@ class FastMCDProcessor(MCDProcessor):
                     per = periods[tag]
                     # ref: clock.advance()
                     if sigma:
-                        j = gauss[tag](0.0, sigma)
+                        j = jitter[tag]()
                         lo = neg04[tag]
                         hi = pos04[tag]
                         if j < lo:
@@ -523,7 +559,7 @@ class FastMCDProcessor(MCDProcessor):
                     # ==================================================
                     # ref: clock.advance()
                     if sigma:
-                        j = gauss[0](0.0, sigma)
+                        j = jitter[0]()
                         lo = neg04[0]
                         hi = pos04[0]
                         if j < lo:
@@ -698,7 +734,7 @@ class FastMCDProcessor(MCDProcessor):
                 # ======================================================
                 per = periods[3]
                 if sigma:
-                    j = gauss[3](0.0, sigma)
+                    j = jitter[3]()
                     lo = neg04[3]
                     hi = pos04[3]
                     if j < lo:

@@ -12,6 +12,7 @@ mispredictions are decided by those models, not by the trace.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,7 +63,12 @@ _INT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+#: memoized traces keep thousands of instructions alive, so drop each
+#: instance's ``__dict__`` where dataclasses can (``slots`` is 3.10+)
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTS)
 class Instruction:
     """One dynamic instruction in a trace.
 
