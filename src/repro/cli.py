@@ -35,6 +35,7 @@ from repro.harness.experiment import SCHEMES, run_experiment
 from repro.harness.persistence import result_to_dict
 from repro.harness.reporting import format_table
 from repro.mcd.domains import DomainId
+from repro.simcore import CORES, resolve_core
 from repro.workloads.suite import BENCHMARKS
 
 
@@ -53,8 +54,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.simcore import resolve_core
-
     try:
         core = resolve_core(args.simcore)
     except ValueError as exc:
@@ -142,7 +141,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine import EngineConfig, SweepEngine
-    from repro.simcore import resolve_core
 
     try:
         core = resolve_core(args.simcore)
@@ -414,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="truncate the run (phase proportions preserved)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the benchmark's deterministic RNG seed")
-    run_p.add_argument("--simcore", choices=("ref", "fast", "batch"),
+    run_p.add_argument("--simcore", choices=CORES,
                        default=None,
                        help="simulation core (default: REPRO_SIMCORE env "
                             "var, then 'fast'; all are bit-identical)")
@@ -461,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-job wall-clock timeout in seconds")
     sweep_p.add_argument("--retries", type=int, default=1,
                          help="extra attempts after a job failure")
-    sweep_p.add_argument("--simcore", choices=("ref", "fast", "batch"),
+    sweep_p.add_argument("--simcore", choices=CORES,
                          default=None,
                          help="simulation core for every job (default: "
                               "REPRO_SIMCORE env var, then 'fast')")
@@ -520,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="max_delay_ms",
                          help="coalescer: max added latency while waiting "
                               "to fill a batch")
-    serve_p.add_argument("--simcore", choices=("ref", "fast", "batch"),
+    serve_p.add_argument("--simcore", choices=CORES,
                          default=None,
                          help="default simulation core for submitted jobs")
     serve_p.set_defaults(func=_cmd_serve)

@@ -134,24 +134,23 @@ def sweep(
 ) -> List[BenchmarkComparison]:
     """Compare schemes across a benchmark list (the per-figure sweeps).
 
-    With ``engine`` (a :class:`repro.engine.SweepEngine`) the whole
-    ``(benchmark x scheme)`` grid -- baseline included -- is fanned out as
-    one batch of jobs, gaining the engine's worker pool, result cache,
-    retry policy, and telemetry.  Without it, each benchmark is compared
-    serially in-process, as before.
+    The whole ``(benchmark x scheme)`` grid -- baseline included -- runs
+    as one batch of jobs on ``engine`` (a :class:`repro.engine.SweepEngine`),
+    gaining its worker pool, result cache, retry policy, and telemetry.
+    The default engine runs serially in-process with no cache.
 
     ``window``, when given, is a callable mapping a spec to its
     per-benchmark instruction window and overrides ``max_instructions``
     (the full-evaluation sweep truncates every benchmark except
-    ``epic-decode``).  ``on_failure`` controls the engine path when a job
+    ``epic-decode``).  ``on_failure`` controls what happens when a job
     exhausts its retries: ``"raise"`` aborts with details, ``"skip"``
     drops that benchmark's comparison and keeps the rest (failures stay
     visible in the engine's telemetry).
 
-    ``obs`` enables per-run observability.  On the engine path it must be
-    picklable (``True`` or an :class:`repro.obs.ObsConfig`); each job's
-    result then carries its ``probe_summary``, which the engine's
-    telemetry aggregates into the sweep summary.
+    ``obs`` enables per-run observability.  It must be picklable
+    (``True`` or an :class:`repro.obs.ObsConfig`); each job's result then
+    carries its ``probe_summary``, which the engine's telemetry aggregates
+    into the sweep summary.
     """
     specs = [
         get_benchmark(b) if isinstance(b, str) else b for b in benchmarks
@@ -160,32 +159,18 @@ def sweep(
     def instructions_for(spec: BenchmarkSpec) -> Optional[int]:
         return window(spec) if window is not None else max_instructions
 
-    if engine is None:
-        return [
-            compare_schemes(
-                spec,
-                schemes=schemes,
-                machine=machine,
-                max_instructions=instructions_for(spec),
-                pid_interval_ns=pid_interval_ns,
-                seed=seed,
-                obs=obs,
-                simcore=simcore,
-            )
-            for spec in specs
-        ]
-
     if on_failure not in ("raise", "skip"):
         raise ValueError(f"on_failure must be 'raise' or 'skip', got {on_failure!r}")
 
     from repro.engine.jobs import SweepJob
+    from repro.engine.scheduler import SweepEngine
     from repro.obs.facade import ObsConfig, Observability
 
     if obs is True:
         obs = ObsConfig()
     elif isinstance(obs, Observability):
         raise ValueError(
-            "the engine path needs a picklable obs form: pass True or an "
+            "sweep needs a picklable obs form: pass True or an "
             "ObsConfig, not a live Observability"
         )
     elif obs is not None and not isinstance(obs, ObsConfig):
@@ -209,6 +194,8 @@ def sweep(
         for spec in specs
         for scheme in all_schemes
     ]
+    if engine is None:
+        engine = SweepEngine()
     outcomes = engine.run(jobs)
 
     comparisons: List[BenchmarkComparison] = []

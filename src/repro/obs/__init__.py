@@ -12,14 +12,7 @@ takes a no-op fast path -- see DESIGN.md section 6b.
 """
 
 from repro.obs.facade import Observability, ObsConfig
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    NullMetrics,
-)
+from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.obs.probe import NULL_PROBE, Histogram, NullProbe, ProbeBus
 from repro.obs.profiler import SAMPLE_PHASES, PhaseProfiler
 from repro.obs.spans import (
@@ -55,8 +48,6 @@ __all__ = [
     "NULL_PROBE",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
     "Counter",
     "Gauge",
     "LatencyHistogram",

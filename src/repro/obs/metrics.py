@@ -23,12 +23,12 @@ a windowed time-series ring per family (:meth:`MetricsRegistry.record_window`
 / :meth:`MetricsRegistry.rate`) so dashboards can show rates without
 storing history client-side.
 
-Disabled metrics follow the ``NULL_PROBE`` contract: hold
-:data:`NULL_METRICS` (``enabled`` False) and gate every instrumentation
-site on ``metrics.enabled`` (or resolve instruments to ``None`` up
-front), so the disabled path makes **zero** calls into this module --
-the ``sys.setprofile`` guard in ``tests/obs/test_overhead.py`` enforces
-it the same way it does for the probe bus.
+Disabled metrics are ``None``: every instrumented site takes an
+``Optional[MetricsRegistry]`` and gates on ``metrics is not None and
+metrics.enabled`` (or resolves instruments to ``None`` up front), so the
+disabled path makes **zero** calls into this module -- the
+``sys.setprofile`` guard in ``tests/obs/test_overhead.py`` enforces it
+the same way it does for the probe bus.
 """
 
 from __future__ import annotations
@@ -448,116 +448,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-
-# -- the disabled path -------------------------------------------------
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullFamily:
-    __slots__ = ("_child",)
-
-    def __init__(self, child: Any) -> None:
-        self._child = child
-
-    def labels(self, **labelvalues: Any) -> Any:
-        return self._child
-
-
-class NullMetrics:
-    """The disabled registry: every accessor returns a shared no-op.
-
-    Like :class:`~repro.obs.probe.NullProbe`, holding this is safe
-    everywhere -- but hot paths must branch on :attr:`enabled` (or
-    resolve instruments to ``None`` up front) so the disabled
-    configuration never calls into this module at all.
-    """
-
-    enabled = False
-
-    _counter = _NullCounter()
-    _gauge = _NullGauge()
-    _histogram = _NullHistogram()
-
-    def counter(self, name: str, help_text: str = "") -> _NullCounter:
-        return self._counter
-
-    def gauge(self, name: str, help_text: str = "") -> _NullGauge:
-        return self._gauge
-
-    def histogram(
-        self, name: str, help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> _NullHistogram:
-        return self._histogram
-
-    def counter_family(
-        self, name: str, help_text: str, labels: Sequence[str]
-    ) -> _NullFamily:
-        return _NullFamily(self._counter)
-
-    def gauge_family(
-        self, name: str, help_text: str, labels: Sequence[str]
-    ) -> _NullFamily:
-        return _NullFamily(self._gauge)
-
-    def histogram_family(
-        self, name: str, help_text: str, labels: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> _NullFamily:
-        return _NullFamily(self._histogram)
-
-    @property
-    def family_count(self) -> int:
-        return 0
-
-    def record_window(self, t_s: float) -> None:
-        pass
-
-    def window(self, name: str) -> List[Tuple[float, float]]:
-        return []
-
-    def rate(self, name: str, window_s: float = 60.0) -> float:
-        return 0.0
-
-    def render_prometheus(self) -> str:
-        return ""
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-
-#: Shared disabled-metrics singleton; identity-comparable.
-NULL_METRICS = NullMetrics()
-
-#: What instrumented code should accept: a real or disabled registry.
-MetricsLike = Union[MetricsRegistry, NullMetrics]
 
 
 # -- formatting helpers ------------------------------------------------

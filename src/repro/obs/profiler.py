@@ -5,8 +5,9 @@ occupancies, let the controllers observe (and command steps), slew the
 regulators/clocks, and record history + metrics.  When profiling is
 enabled those four phases are timed with ``perf_counter`` every sample,
 and the whole ``run()`` is timed end to end, yielding per-phase wall
-time, phase shares, and samples/second -- the measurement substrate every
-subsequent performance PR reports against (``BENCH_obs.json``).
+time, phase shares, and samples/second.  The repository benchmark reads
+the run-wide share of the sample path from it (perfbench's
+``simcore.sample_path_share``).
 """
 
 from __future__ import annotations

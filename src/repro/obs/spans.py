@@ -22,10 +22,10 @@ Timestamps are ``time.time_ns()`` epoch wall clocks so spans from
 different processes share an origin (modulo OS clock skew, which is
 orders of magnitude below the millisecond spans we time).  The recorder
 publishes ``span_start``/``span_end`` probe events (schema'd in
-:mod:`repro.obs.schema`) and exports finished spans as Chrome-trace
-``"X"`` (complete) events, viewable alongside the simulator's own
-traces.  Disabled tracing holds :data:`NULL_TRACER` and gates on
-``tracer.enabled``, same contract as ``NULL_PROBE``/``NULL_METRICS``.
+:mod:`repro.obs.schema`), which :func:`repro.obs.trace.chrome_trace_events`
+renders as Chrome-trace ``"X"`` (complete) events alongside the
+simulator's own traces.  Disabled tracing holds :data:`NULL_TRACER` and
+gates on ``tracer.enabled``, same contract as ``NULL_PROBE``.
 """
 
 from __future__ import annotations
@@ -271,42 +271,6 @@ class SpanRecorder:
                 parent["children"].append(node)
         return roots
 
-    def chrome_events(
-        self, trace_id: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        """Finished spans as Chrome-trace ``"X"`` (complete) events.
-
-        Timestamps are microseconds relative to the earliest span start;
-        each producing process gets its own ``tid`` track so the serve
-        loop, engine thread, and every pool worker render as lanes.
-        """
-        flat = self.spans(trace_id)
-        if not flat:
-            return []
-        t0_ns = min(s.get("start_ns", 0) for s in flat)
-        tids: Dict[Any, int] = {}
-        events: List[Dict[str, Any]] = []
-        for span in flat:
-            pid = span.get("attrs", {}).get("pid", 0)
-            tid = tids.setdefault(pid, len(tids))
-            events.append(
-                {
-                    "name": span.get("name", "span"),
-                    "ph": "X",
-                    "ts": (span.get("start_ns", t0_ns) - t0_ns) / 1e3,
-                    "dur": span.get("dur_ns", 0) / 1e3,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {
-                        "trace_id": span.get("trace_id", ""),
-                        "span_id": span.get("span_id", ""),
-                        "parent_id": span.get("parent_id", ""),
-                        **span.get("attrs", {}),
-                    },
-                }
-            )
-        return events
-
     def summary(self) -> Dict[str, int]:
         with self._lock:
             return {
@@ -369,11 +333,6 @@ class NullTracer:
         return []
 
     def tree(self, trace_id: str) -> List[Dict[str, Any]]:
-        return []
-
-    def chrome_events(
-        self, trace_id: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
         return []
 
     def summary(self) -> Dict[str, int]:

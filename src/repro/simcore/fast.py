@@ -965,6 +965,9 @@ class FastMCDProcessor(MCDProcessor):
                             ce, _, _, gf, lf = params_by_tag[dtag]
                             leak = ce * v * v * lf
                             gated_rate = ce * v * v * gf * cur
+                            # asleep is one product, as PowerModel.background
+                            # computes it: not the float-unequal
+                            # leak * dt + gated_rate * dt
                             row = (leak * dt, (leak + gated_rate) * dt)
                             btab[dtag][(v, cur)] = row
                         bg_v[dtag] = v

@@ -131,25 +131,6 @@ class SimTables:
             self.coeff[tag][voltage] = row
         return row
 
-    def background_for(
-        self, tag: int, voltage: float, freq_ghz: float
-    ) -> BackgroundRow:
-        """Per-sample background energy (awake, asleep) of domain ``tag``.
-
-        Mirrors ``PowerModel.background`` exactly: the asleep value is
-        ``(leak + gated_rate) * dt`` as one product, *not* the float-unequal
-        ``leak * dt + gated_rate * dt``.
-        """
-        key = (voltage, freq_ghz)
-        row = self.background[tag].get(key)
-        if row is None:
-            ce, _, _, gated_frac, leak_frac = self.params_by_tag[tag]
-            leak = ce * voltage * voltage * leak_frac
-            gated_rate = ce * voltage * voltage * gated_frac * freq_ghz
-            row = (leak * self.dt_ns, (leak + gated_rate) * self.dt_ns)
-            self.background[tag][key] = row
-        return row
-
 
 #: process-wide table interning: (config, params signature) -> SimTables
 _TABLES: Dict[Tuple[MachineConfig, Tuple[ParamRow, ...]], SimTables] = {}

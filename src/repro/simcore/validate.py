@@ -3,7 +3,8 @@
 The fast core's contract is *bit*-identity, not tolerance-based closeness:
 every float in a :class:`repro.mcd.processor.SimulationResult` produced by
 the fast core must equal the reference core's float exactly.  The golden
-equivalence suite and ``bench_simcore.py`` both use these helpers, and
+equivalence suite and the repository benchmark's verification (perfbench
+re-simulates a swept job on ``ref``) both use these helpers, and
 ``assert_results_identical`` reports the first diverging field with both
 values in full ``repr`` precision so a contract break is immediately
 actionable.

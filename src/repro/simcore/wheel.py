@@ -64,7 +64,3 @@ class EventWheel:
         self.sleeping[tag] = False
         self.timer_target[tag] = None
         self.wake_gen[tag] += 1
-
-    def timer_valid(self, tag: int, payload: int) -> bool:
-        """Is a popped timer event still current for a sleeping domain?"""
-        return self.sleeping[tag] and payload == self.wake_gen[tag]

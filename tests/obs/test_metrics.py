@@ -1,4 +1,4 @@
-"""MetricsRegistry behavior: instruments, families, windows, null path."""
+"""MetricsRegistry behavior: instruments, families, windows."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    NULL_METRICS,
     Counter,
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    NullMetrics,
 )
 
 
@@ -196,33 +194,6 @@ def test_ring_is_bounded():
         registry.record_window(float(i))
     assert len(registry.window("c_total")) == 4
     assert registry.window("c_total")[0][0] == 6.0
-
-
-# -- the disabled path -------------------------------------------------
-
-
-def test_null_metrics_contract():
-    assert isinstance(NULL_METRICS, NullMetrics)
-    assert NULL_METRICS.enabled is False
-    assert MetricsRegistry().enabled is True
-    # every accessor works and is inert
-    NULL_METRICS.counter("a").inc()
-    NULL_METRICS.gauge("b").set(1)
-    NULL_METRICS.histogram("c").observe(0.1)
-    NULL_METRICS.counter_family("d", "", ("k",)).labels(k="v").inc()
-    NULL_METRICS.gauge_family("e", "", ("k",)).labels(k="v").dec()
-    NULL_METRICS.histogram_family("f", "", ("k",)).labels(k="v").observe(1)
-    NULL_METRICS.record_window(0.0)
-    assert NULL_METRICS.family_count == 0
-    assert NULL_METRICS.window("a") == []
-    assert NULL_METRICS.rate("a") == 0.0
-    assert NULL_METRICS.render_prometheus() == ""
-    assert NULL_METRICS.snapshot() == {}
-
-
-def test_null_family_returns_shared_children():
-    fam = NULL_METRICS.counter_family("x", "", ("k",))
-    assert fam.labels(k="a") is fam.labels(k="b")
 
 
 def test_default_buckets_are_strictly_increasing():

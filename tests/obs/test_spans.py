@@ -152,25 +152,6 @@ def test_probe_events_validate_against_schema():
         )
 
 
-def test_chrome_events_one_slice_per_span_with_pid_tracks():
-    recorder = _recorder()
-    root = recorder.start("root")
-    recorder.record({
-        "name": "worker", "trace_id": root.trace_id, "span_id": "w1",
-        "parent_id": root.span_id, "start_ns": 100, "end_ns": 400,
-        "dur_ns": 300, "attrs": {"pid": 4242},
-    })
-    root.end()
-    events = recorder.chrome_events(root.trace_id)
-    slices = [e for e in events if e.get("ph") == "X"]
-    assert len(slices) == 2
-    worker = next(e for e in slices if e["name"] == "worker")
-    local = next(e for e in slices if e["name"] == "root")
-    assert worker["tid"] != local["tid"], "distinct pids get distinct tracks"
-    assert worker["dur"] == pytest.approx(0.3)  # 300ns -> 0.3us
-    assert worker["args"]["trace_id"] == root.trace_id
-
-
 def test_span_end_probe_events_render_in_chrome_trace():
     """The simulator-side trace writer understands span_end events too."""
     bus = ProbeBus()
@@ -195,7 +176,6 @@ def test_null_tracer_contract():
     NULL_TRACER.record({"name": "ignored"})
     assert NULL_TRACER.spans() == []
     assert NULL_TRACER.tree("t") == []
-    assert NULL_TRACER.chrome_events() == []
     assert NULL_TRACER.summary() == {
         "started": 0, "recorded": 0, "retained": 0,
     }

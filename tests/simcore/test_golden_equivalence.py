@@ -63,6 +63,20 @@ class TestGoldenEquivalence:
             ref, fast, context=f"adpcm-encode/{scheme} seed={seed}"
         )
 
+    def test_default_length_run(self):
+        # the grid stops at 2,500 instructions; a divergence that needs a
+        # long run to surface (drift over thousands of DVFS steps, a rare
+        # event ordering) shows at the CLI's default 60,000
+        ref, fast = _pair(
+            "gzip",
+            scheme="adaptive",
+            max_instructions=60_000,
+            seed=1,
+            record_history=False,
+        )
+        assert ref.instructions == 60_000
+        assert_results_identical(ref, fast, context="gzip/adaptive 60k")
+
     def test_with_history_recording(self):
         ref, fast = _pair(
             "gzip",
