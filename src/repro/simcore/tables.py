@@ -56,7 +56,6 @@ class SimTables:
         "dt_ns",
         "params_by_tag",
         "voltage",
-        "period",
         "coeff",
         "background",
         "fe_background_e",
@@ -78,10 +77,9 @@ class SimTables:
                     p.leakage_fraction,
                 )
             )
-        #: frequency -> supply voltage (exact ``config.voltage_for`` output)
+        #: frequency -> supply voltage (exact ``config.voltage_for`` output;
+        #: filled in place by the fast core's slew step)
         self.voltage: Dict[float, float] = {}
-        #: frequency -> period in ns (exact ``1.0 / f``)
-        self.period: Dict[float, float] = {}
         #: per-tag: voltage -> per-cycle energy coefficient triple
         self.coeff: List[Dict[float, CoeffRow]] = [{}, {}, {}, {}]
         #: per-tag: (voltage, freq) -> per-sample background energy pair
@@ -100,22 +98,6 @@ class SimTables:
         self.fe_background_e = ce * v * v * leak_frac * self.dt_ns
 
     # ------------------------------------------------------------------
-
-    def voltage_for(self, freq_ghz: float) -> float:
-        """Memoized ``config.voltage_for``; bit-exact by construction."""
-        v = self.voltage.get(freq_ghz)
-        if v is None:
-            v = self.config.voltage_for(freq_ghz)
-            self.voltage[freq_ghz] = v
-        return v
-
-    def period_ns(self, freq_ghz: float) -> float:
-        """Memoized clock period, exactly ``1.0 / freq_ghz``."""
-        p = self.period.get(freq_ghz)
-        if p is None:
-            p = 1.0 / freq_ghz
-            self.period[freq_ghz] = p
-        return p
 
     def coeff_for(self, tag: int, voltage: float) -> CoeffRow:
         """Per-cycle energy coefficients of domain ``tag`` at ``voltage``.

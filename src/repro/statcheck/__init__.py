@@ -2,21 +2,21 @@
 
 The paper's headline numbers are only reproducible if every simulation
 run is bit-deterministic and every sweep-cache hit is genuinely
-equivalent to a recompute.  Those invariants -- seeded randomness,
-complete cache keys, pool workers that share no module state, schema'd
-probe events, a serve loop that never blocks -- are exactly the kind of
-thing a conventional linter cannot express, so this package ships a
-small static-analysis framework with 15 codebase-specific rules
-(``repro-dvfs check --list-rules`` prints the catalog):
+equivalent to a recompute.  Invariants such as seeded randomness, pool
+workers that share no module state, schema'd probe events and a serve
+loop that never blocks are exactly the kind of thing a conventional
+linter cannot express, so this package ships a small static-analysis
+framework with 12 codebase-specific rules (``repro-dvfs check
+--list-rules`` prints the catalog).  The sweep cache key itself is
+guarded by a test, not a rule: ``TestCacheKey`` in
+``tests/engine/test_engine_cache.py`` perturbs every ``SweepJob`` field
+and recomputes a job grid under two hash seeds.
 
 ========================  ==============================================
 rules                     invariant family
 ========================  ==============================================
-DET001, DET003            determinism: seeded randomness, ordered
-                          iteration in hash/cache-key code
+DET001                    determinism: seeded randomness
 CTL001                    no float ``==`` / ``!=`` in controller/FSM code
-CACHE001, SPAN002         cache keys cover every ``SweepJob`` field and
-                          never read per-run span context
 RACE001                   pool-reachable code does not mutate
                           module-level state
 OBS001                    probe event kinds and schemas match both ways
@@ -47,10 +47,7 @@ any line; a pragma without ``-- reason``, or one naming a rule that is
 not registered, is itself a ``SUP001`` finding.
 Run it as ``repro-dvfs check [paths]`` or ``python -m repro.statcheck``;
 exit status is 0 (clean), 1 (findings), or 2 (usage error or analyzer
-crash), so CI can tell a red build from a broken analyzer.  The
-per-module result cache (:mod:`~repro.statcheck.incremental`) is on by
-default, so a rerun re-analyzes only changed modules and the modules
-that import them; ``--no-incremental`` disables it.
+crash), so CI can tell a red build from a broken analyzer.
 """
 
 from repro.statcheck.engine import (

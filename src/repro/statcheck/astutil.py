@@ -73,14 +73,6 @@ def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
             todo.extend(ast.iter_child_nodes(node))
 
 
-def iter_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """Yield the module and every (async) function definition in it."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, FUNCTION_NODES):
-            yield node
-
-
 def location(node: ast.AST) -> Tuple[int, int]:
     """(line, col) of a node, tolerating synthetic nodes without one."""
     return (getattr(node, "lineno", 1), getattr(node, "col_offset", 0))

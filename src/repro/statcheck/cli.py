@@ -21,12 +21,8 @@ import time
 from typing import List, Optional
 
 from repro.statcheck.engine import AnalysisReport, Analyzer
-from repro.statcheck.incremental import IncrementalAnalyzer
 from repro.statcheck.registry import all_rules
 from repro.statcheck.reporters import RENDERERS
-
-#: default location of the incremental-analysis cache
-DEFAULT_CACHE_FILE = ".statcheck-cache.json"
 
 #: Exit statuses of the ``check`` command.
 EXIT_CLEAN = 0
@@ -78,21 +74,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable the per-module result cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=DEFAULT_CACHE_FILE,
-        metavar="FILE",
-        help=f"incremental-cache location (default: {DEFAULT_CACHE_FILE})",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print a run summary (files, cache hit ratio, per-rule "
-        "finding counts, wall time) to stderr; stdout stays pure",
+        help="print a run summary (files, per-rule finding counts, "
+        "wall time) to stderr; stdout stays pure",
     )
 
 
@@ -105,12 +90,6 @@ def _split_rules(value: Optional[str]) -> Optional[List[str]]:
 def _print_stats(report: "AnalysisReport", wall_s: float) -> None:
     """One human summary of the run on stderr (``--stats``)."""
     parts = [f"files={report.files_scanned}"]
-    incremental = report.incremental
-    if incremental and incremental.get("enabled"):
-        ratio = float(incremental.get("hit_ratio", 0.0))  # type: ignore[arg-type]
-        parts.append(f"cache_hit_ratio={ratio:.0%}")
-    else:
-        parts.append("cache_hit_ratio=n/a")
     by_rule = collections.Counter(f.rule for f in report.findings)
     if by_rule:
         counts = ",".join(
@@ -134,17 +113,11 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_CLEAN
     started = time.monotonic()
     try:
-        paths = args.paths or default_paths()
         analyzer = Analyzer(
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore),
         )
-        if args.no_incremental:
-            report = analyzer.analyze_paths(paths)
-        else:
-            report = IncrementalAnalyzer(
-                analyzer, cache_path=args.cache_file
-            ).analyze_paths(paths)
+        report = analyzer.analyze_paths(args.paths or default_paths())
     except (ValueError, OSError) as exc:
         # bad rule selection or unreadable input: usage error, not findings
         print(f"statcheck: error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ rule shapes exist:
   (a tuple of dotted package prefixes -- determinism rules only apply to
   simulation/controller packages, hygiene rules everywhere);
 * **cross-module** rules override :meth:`Rule.check_project` and see the
-  whole :class:`Project` at once (cache-key completeness, probe-schema
-  bidirectionality).
+  whole :class:`Project` at once (probe-schema bidirectionality,
+  pool-worker races).
 
 Suppressions
 ------------
@@ -271,8 +271,6 @@ class AnalysisReport:
     files_scanned: int
     rules: List[str]
     suppressed: int = 0
-    #: incremental-cache statistics (hits/misses/...), when enabled
-    incremental: Optional[Dict[str, object]] = None
 
     @property
     def ok(self) -> bool:

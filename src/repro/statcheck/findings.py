@@ -45,15 +45,3 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (incremental-cache round trip)."""
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity(data["severity"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-        )

@@ -23,11 +23,6 @@ def render_text(report: AnalysisReport) -> str:
         f"{report.files_scanned} file(s) "
         f"({len(report.rules)} rules, {report.suppressed} suppressed)"
     )
-    if report.incremental is not None:
-        summary += (
-            f" [cache: {report.incremental.get('hits', 0)} hit(s), "
-            f"{report.incremental.get('misses', 0)} miss(es)]"
-        )
     lines.append(summary)
     return "\n".join(lines)
 
@@ -40,8 +35,6 @@ def render_json(report: AnalysisReport) -> str:
         "suppressed": report.suppressed,
         "findings": [finding.to_dict() for finding in report.findings],
     }
-    if report.incremental is not None:
-        payload["incremental"] = report.incremental
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

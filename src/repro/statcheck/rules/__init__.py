@@ -2,7 +2,6 @@
 
 from repro.statcheck.rules import (  # noqa: F401  (import-for-registration)
     asyncrules,
-    cache_key,
     control,
     determinism,
     hygiene,

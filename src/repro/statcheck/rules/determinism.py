@@ -1,12 +1,13 @@
-"""Determinism rules: the invariants behind "same spec, same bits".
+"""Determinism rule: the invariant behind "same spec, same bits".
 
 Every simulation result is cached content-addressed and compared across
 process-pool and serial execution, so any nondeterminism -- a shared
-global RNG, hashing in set-iteration order -- silently corrupts sweeps
-rather than failing loudly.  These rules push all randomness through
-injected, seeded ``random.Random`` / ``numpy`` Generator instances and
-keep cache-key hashing order-independent.  (A host-clock read that
-reaches a result is caught at run time by the same-seed hash test.)
+global RNG above all -- silently corrupts sweeps rather than failing
+loudly.  DET001 pushes all randomness through injected, seeded
+``random.Random`` / ``numpy`` Generator instances.  (A host-clock read
+that reaches a result is caught at run time by the same-seed hash test,
+and a cache key that depends on iteration order by the two-hash-seed
+test in ``tests/engine/test_engine_cache.py``.)
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.statcheck.astutil import (
-    import_map,
-    iter_scopes,
-    resolve_call,
-    walk_scope,
-)
+from repro.statcheck.astutil import import_map, resolve_call
 from repro.statcheck.engine import Rule, SourceFile
 from repro.statcheck.findings import Finding
 from repro.statcheck.registry import register
@@ -61,23 +57,6 @@ _NUMPY_RANDOM_OK = frozenset(
     {"Generator", "RandomState", "SeedSequence", "default_rng"}
 )
 
-#: Hash entry points whose inputs must be deterministically ordered.
-_HASH_FUNCS = frozenset(
-    {
-        "hash",
-        "hashlib.blake2b",
-        "hashlib.blake2s",
-        "hashlib.md5",
-        "hashlib.new",
-        "hashlib.sha1",
-        "hashlib.sha224",
-        "hashlib.sha256",
-        "hashlib.sha384",
-        "hashlib.sha512",
-    }
-)
-
-
 @register
 class UnseededRandomRule(Rule):
     """DET001: module-level RNG calls make runs irreproducible."""
@@ -118,52 +97,3 @@ class UnseededRandomRule(Rule):
                     f"call to legacy global {resolved}() is unseeded shared "
                     "state; use numpy.random.default_rng(seed)",
                 )
-
-
-@register
-class UnorderedHashRule(Rule):
-    """DET003: set iteration order must never feed a hash or cache key."""
-
-    id = "DET003"
-    description = (
-        "no iteration over unordered sets in functions that compute hashes "
-        "or cache keys; wrap the iterable in sorted(...)"
-    )
-
-    def check_file(self, file: SourceFile) -> Iterator[Finding]:
-        assert file.tree is not None
-        imports = import_map(file.tree)
-        for scope in iter_scopes(file.tree):
-            if not self._scope_hashes(scope, imports):
-                continue
-            for node in walk_scope(scope):
-                iterables = []
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    iterables.append(node.iter)
-                elif isinstance(node, ast.comprehension):
-                    iterables.append(node.iter)
-                for iterable in iterables:
-                    if self._is_unordered(iterable, imports):
-                        yield self.finding(
-                            file,
-                            iterable,
-                            "iteration over an unordered set inside "
-                            "hash/cache-key derivation; iteration order is "
-                            "not deterministic -- wrap in sorted(...)",
-                        )
-
-    @staticmethod
-    def _scope_hashes(scope: ast.AST, imports: "dict[str, str]") -> bool:
-        for node in walk_scope(scope):
-            if isinstance(node, ast.Call):
-                if resolve_call(node.func, imports) in _HASH_FUNCS:
-                    return True
-        return False
-
-    @staticmethod
-    def _is_unordered(node: ast.AST, imports: "dict[str, str]") -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return resolve_call(node.func, imports) in ("set", "frozenset")
-        return False

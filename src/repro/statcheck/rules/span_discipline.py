@@ -1,33 +1,24 @@
-"""SPAN001/SPAN002: span lifecycle and cache-key discipline.
+"""SPAN001: span start/end pairing.
 
-Two contracts from the tracing layer (PR 7):
+A span obtained from ``*.spans.start(...)`` (or a ``Span(...)``
+constructor) must reach ``end()`` on the paths that complete normally,
+unless it *escapes* the function -- returned, stored on ``self``/a
+container, passed to another callable, or managed by a ``with`` block.
+A span that is started, held in a local, and silently dropped never
+records its duration and leaks an open entry in the recorder.
 
-* **SPAN001, start/end pairing** -- a span obtained from ``*.spans.start(...)``
-  (or a ``Span(...)`` constructor) must reach ``end()`` on the paths
-  that complete normally, unless it *escapes* the function -- returned,
-  stored on ``self``/a container, passed to another callable, or
-  managed by a ``with`` block.  A span that is started, held in a
-  local, and silently dropped never records its duration and leaks an
-  open entry in the recorder.
-
-  The check runs the shared :class:`~repro.statcheck.dataflow.
-  ForwardWalker` with span identities as the abstract value, using the
-  ``on_return`` hook to watch every exit path.  Merges of distinct
-  states (a span started in only one branch -- the coalescer's
-  conditional flush-span pattern) mark the span escaped, so the rule
-  under-approximates and fails open.
-
-* **SPAN002, cache-key purity** -- functions that build cache keys or canonical
-  forms (``cache_key*``, ``canonical*``) must not read span plumbing
-  (``.span`` / ``.span_context`` / ``.parent_span``): a pool-bound
-  :class:`SpanContext` differs per run, so keying on it silently
-  disables result reuse.
+The check runs the shared :class:`~repro.statcheck.dataflow.
+ForwardWalker` with span identities as the abstract value, using the
+``on_return`` hook to watch every exit path.  Merges of distinct states
+(a span started in only one branch -- the coalescer's conditional
+flush-span pattern) mark the span escaped, so the rule under-approximates
+and fails open.  (That span ids stay out of the sweep cache key is a
+test, ``TestCacheKey`` in ``tests/engine/test_engine_cache.py``.)
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.statcheck.astutil import (
@@ -47,11 +38,6 @@ _START_ATTRS = frozenset({"start", "start_span"})
 
 #: method names that finish a span
 _END_ATTRS = frozenset({"end", "finish"})
-
-#: attributes that carry span plumbing (cache-key purity check)
-_SPAN_PLUMBING_ATTRS = frozenset({"span", "span_context", "parent_span"})
-
-_CACHE_KEY_FUNCTION = re.compile(r"(cache_key|canonical)", re.IGNORECASE)
 
 
 class _SpanState:
@@ -219,43 +205,3 @@ class SpanPairingRule(Rule):
                 "reaches end() and never escapes to an owner; close it "
                 "in a finally block or use it as a context manager",
             )
-
-@register
-class SpanCacheKeyPurityRule(Rule):
-    """Cache keys stay span-free."""
-
-    id = "SPAN002"
-    description = (
-        "cache-key/canonical builders must not read span plumbing "
-        "(.span/.span_context/.parent_span): span context is per-run, "
-        "so keying on it means identical jobs never hit the cache"
-    )
-    scope = ()
-
-    def check_file(self, file: SourceFile) -> Iterator[Finding]:
-        assert file.tree is not None
-        for fn in ast.walk(file.tree):
-            if not isinstance(fn, FUNCTION_NODES):
-                continue
-            if _CACHE_KEY_FUNCTION.search(fn.name):
-                yield from self._check_cache_key(file, fn)
-
-    def _check_cache_key(
-        self,
-        file: SourceFile,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Finding]:
-        for node in walk_scope(fn):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and node.attr in _SPAN_PLUMBING_ATTRS
-            ):
-                yield self.finding(
-                    file,
-                    node,
-                    f"{fn.name} reads .{node.attr} while building a "
-                    "cache key/canonical form; span context is per-run "
-                    "and must stay out of keys or identical jobs will "
-                    "never hit the cache",
-                )

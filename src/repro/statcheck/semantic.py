@@ -10,10 +10,9 @@ builds that index once per analysis run:
   and class in the project under a stable dotted qualname
   (``repro.engine.scheduler._pool_entry``,
   ``repro.mcd.processor.MCDProcessor._sample``);
-* :class:`ModuleInfo` -- per-module import map, top-level symbols,
+* :class:`ModuleInfo` -- per-module import map, top-level symbols and
   module-level *mutable* bindings (dict/list/set/deque displays and
-  constructors), and the set of project modules it imports -- the
-  dependency edges the incremental cache invalidates along;
+  constructors);
 * :class:`SymbolTable` -- the project-wide index with name resolution
   through import aliases (``from repro.engine.jobs import run_job as
   rj`` resolves ``rj`` to the ``run_job`` FunctionInfo).
@@ -98,8 +97,6 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level names bound to a mutable container, with the binding node
     mutable_globals: Dict[str, ast.AST] = field(default_factory=dict)
-    #: project modules this module imports (incremental-cache dependencies)
-    deps: Set[str] = field(default_factory=set)
 
 
 def _is_mutable_value(value: ast.AST, imports: Dict[str, str]) -> bool:
@@ -124,34 +121,6 @@ def _module_level_targets(stmt: ast.stmt) -> Iterator[Tuple[str, ast.AST]]:
             yield stmt.target.id, stmt.value
 
 
-def _dep_modules(
-    tree: ast.Module, module: str, project_modules: Set[str]
-) -> Set[str]:
-    """Project modules this module imports, at any nesting depth.
-
-    ``from repro.mcd import processor`` depends on ``repro.mcd.processor``
-    when that module exists in the project, else on ``repro.mcd``.
-    """
-    deps: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in project_modules:
-                    deps.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue
-            base = node.module
-            if base in project_modules:
-                deps.add(base)
-            for alias in node.names:
-                candidate = f"{base}.{alias.name}"
-                if candidate in project_modules:
-                    deps.add(candidate)
-    deps.discard(module)
-    return deps
-
-
 class SymbolTable:
     """Project-wide index of modules, functions, classes and globals."""
 
@@ -163,28 +132,18 @@ class SymbolTable:
     @classmethod
     def build(cls, project: Project) -> "SymbolTable":
         table = cls()
-        project_modules = {
-            file.module for file in project.files if file.tree is not None
-        }
         for file in project.files:
             if file.tree is None:
                 continue
-            table._index_module(file, project_modules)
+            table._index_module(file)
         return table
 
     # -- construction ---------------------------------------------------
 
-    def _index_module(
-        self, file: SourceFile, project_modules: Set[str]
-    ) -> None:
+    def _index_module(self, file: SourceFile) -> None:
         assert file.tree is not None
         imports = import_map(file.tree)
-        info = ModuleInfo(
-            module=file.module,
-            file=file,
-            imports=imports,
-            deps=_dep_modules(file.tree, file.module, project_modules),
-        )
+        info = ModuleInfo(module=file.module, file=file, imports=imports)
         for stmt in file.tree.body:
             if isinstance(stmt, FUNCTION_NODES):
                 self._index_function(info, stmt, class_name=None)

@@ -1,9 +1,14 @@
 """Tests for the content-addressed result cache."""
 
+import dataclasses
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.engine.cache import (
     CACHE_VERSION,
     ResultCache,
@@ -13,6 +18,10 @@ from repro.engine.cache import (
 )
 from repro.engine.jobs import SweepJob, run_job
 from repro.mcd.domains import DomainId, MachineConfig
+from repro.obs.facade import ObsConfig
+from repro.obs.spans import SpanContext
+from repro.simcore import CORES, resolve_core
+from repro.workloads.suite import get_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +32,52 @@ def job():
 @pytest.fixture(scope="module")
 def result(job):
     return run_job(job)
+
+
+#: One changed value per keyed ``SweepJob`` field: each must move the key.
+PERTURB = {
+    "scheme": "pid",
+    "machine": MachineConfig(rob_size=96),
+    "max_instructions": 2000,
+    "seed": 99,
+    "record_history": True,
+    "history_stride": 8,
+    "pid_interval_ns": 100.0,
+    "adaptive_overrides": {"delay_scale": 2.0},
+    "obs": ObsConfig(),
+    "simcore": next(core for core in CORES if core != resolve_core(None)),
+}
+
+#: Prints the keys of a job grid as JSON; run under two hash seeds.
+_KEY_GRID_SCRIPT = """
+import json
+from repro.engine.cache import job_cache_key
+from repro.engine.jobs import SweepJob
+from repro.harness.experiment import SCHEMES
+from repro.mcd.domains import MachineConfig
+from repro.obs.facade import ObsConfig
+from repro.workloads.suite import BENCHMARKS
+
+jobs = [SweepJob.make(name, scheme) for name in BENCHMARKS for scheme in SCHEMES]
+jobs += [
+    SweepJob.make("gzip", obs=ObsConfig(sample_stride=4)),
+    SweepJob.make(
+        "gzip", adaptive_overrides={"t_m0": 500.0, "t_l0": 80.0, "dw_level": 1.5}
+    ),
+    SweepJob.make("gzip", machine=MachineConfig(rob_size=96, dvfs_style="transmeta")),
+]
+print(json.dumps([job_cache_key(job) for job in jobs]))
+"""
+
+
+def _grid_keys(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KEY_GRID_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 class TestCacheKey:
@@ -37,27 +92,40 @@ class TestCacheKey:
         assert len(key) == 64
         int(key, 16)
 
+    def test_every_field_is_keyed_or_exempt(self):
+        """A new SweepJob field must join PERTURB (and the key) or be
+        exempted here with a reason."""
+        fields = {f.name for f in dataclasses.fields(SweepJob)}
+        # benchmark: see test_different_benchmark_changes_key
+        # span: random per submission, see test_span_leaves_key_unchanged
+        assert fields == set(PERTURB) | {"benchmark", "span"}
+
     @pytest.mark.parametrize(
-        "other",
-        [
-            dict(scheme="pid"),
-            dict(max_instructions=2000),
-            dict(seed=99),
-            dict(record_history=True),
-            dict(pid_interval_ns=100.0),
-            dict(adaptive_overrides={"delay_scale": 2.0}),
-            dict(machine=MachineConfig(rob_size=96)),
-        ],
+        "other", [{field: value} for field, value in PERTURB.items()]
     )
     def test_any_simulation_input_changes_key(self, job, other):
-        kwargs = dict(scheme="adaptive", max_instructions=1500)
-        kwargs.update(other)
-        changed = SweepJob.make("adpcm-encode", **kwargs)
-        assert job_cache_key(job) != job_cache_key(changed)
+        changed = dataclasses.replace(job, **other)
+        assert changed != job
+        assert job_cache_key(job) != job_cache_key(changed), other
 
     def test_different_benchmark_changes_key(self, job):
-        other = SweepJob.make("gzip", scheme="adaptive", max_instructions=1500)
+        other = dataclasses.replace(job, benchmark=get_benchmark("gzip"))
         assert job_cache_key(job) != job_cache_key(other)
+
+    def test_span_leaves_key_unchanged(self, job):
+        """Span ids are random per submission; keying on them would turn
+        every lookup into a miss."""
+        spanned = dataclasses.replace(
+            job, span=SpanContext(trace_id="t" * 32, span_id="s" * 16)
+        )
+        assert job_cache_key(spanned) == job_cache_key(job)
+
+    def test_keys_do_not_depend_on_the_hash_seed(self):
+        """Set or dict-iteration order leaking into the key shows up as a
+        different key under another PYTHONHASHSEED."""
+        keys = _grid_keys(1)
+        assert len(set(keys)) == len(keys)
+        assert _grid_keys(2) == keys
 
 
 class TestResultCache:

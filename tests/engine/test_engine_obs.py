@@ -220,15 +220,6 @@ class TestSpanStitching:
         )
         assert hit["attrs"]["cache"] == "hit"
 
-    def test_span_field_stays_out_of_the_cache_key(self):
-        job = SweepJob.make("adpcm-encode", scheme="adaptive")
-        spanned = SweepJob.make(
-            "adpcm-encode",
-            scheme="adaptive",
-            span=SpanContext(trace_id="t" * 32, span_id="s" * 16),
-        )
-        assert job.canonical_json() == spanned.canonical_json()
-
     def test_disabled_tracer_ships_no_span_parents(self):
         engine = SweepEngine(runner=_fake_result)
         job = SweepJob.make(

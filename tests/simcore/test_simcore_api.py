@@ -86,21 +86,21 @@ class TestSimTables:
         b = tables_for(machine, PowerModel())
         assert a is b, "equal configs must share one interned table set"
 
-    def test_period_table_matches_reciprocal(self):
+    def test_voltage_table_matches_config(self, tiny_benchmark):
+        """The fast core fills the voltage memo in place while regulators
+        slew; every entry must equal the reference ``voltage_for``."""
+        from repro.harness.experiment import run_experiment
         from repro.power.model import PowerModel
 
         machine = MachineConfig()
-        tables = tables_for(machine, PowerModel())
-        for freq in (machine.f_min_ghz, 0.75, machine.f_max_ghz):
-            assert tables.period_ns(freq) == 1.0 / freq
-
-    def test_voltage_table_matches_config(self):
-        from repro.power.model import PowerModel
-
-        machine = MachineConfig()
-        tables = tables_for(machine, PowerModel())
-        for freq in (machine.f_min_ghz, 0.8, machine.f_max_ghz):
-            assert tables.voltage_for(freq) == machine.voltage_for(freq)
+        run_experiment(
+            tiny_benchmark, scheme="adaptive", max_instructions=3000,
+            seed=1, simcore="fast",
+        )
+        voltage = tables_for(machine, PowerModel()).voltage
+        assert voltage
+        for freq, volts in voltage.items():
+            assert volts == machine.voltage_for(freq)
 
 
 class TestRunBatch:

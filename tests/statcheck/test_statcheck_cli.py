@@ -10,12 +10,6 @@ from repro.statcheck import cli as statcheck_cli
 from repro.statcheck.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
 
 
-@pytest.fixture(autouse=True)
-def _cwd_in_tmp(tmp_path, monkeypatch):
-    """Keep the default incremental cache file out of the checkout."""
-    monkeypatch.chdir(tmp_path)
-
-
 @pytest.fixture
 def clean_tree(tmp_path):
     (tmp_path / "ok.py").write_text("VALUE = 1\n", encoding="utf-8")
@@ -55,9 +49,6 @@ class TestExitCodes:
             raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(statcheck_cli.Analyzer, "analyze_paths", raise_epipe)
-        monkeypatch.setattr(
-            statcheck_cli.IncrementalAnalyzer, "analyze_paths", raise_epipe
-        )
         assert main([clean_tree]) == EXIT_ERROR
         err = capfd.readouterr().err
         assert "Traceback" not in err
@@ -68,9 +59,6 @@ class TestExitCodes:
             raise RuntimeError("synthetic crash")
 
         monkeypatch.setattr(statcheck_cli.Analyzer, "analyze", boom)
-        monkeypatch.setattr(
-            statcheck_cli.IncrementalAnalyzer, "analyze_paths", boom
-        )
         assert main([clean_tree]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "internal error" in err
@@ -92,10 +80,11 @@ class TestFormatsAndListing:
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule_id in (
-            "DET001", "DET003", "CTL001", "CACHE001",
-            "RACE001", "OBS001", "PY002", "UNIT001",
+            "DET001", "CTL001", "RACE001", "OBS001", "PY002", "UNIT001",
         ):
             assert rule_id in out
+        for deleted in ("DET003", "CACHE001", "SPAN002"):
+            assert deleted not in out
 
     def test_select_and_ignore(self, dirty_tree, capsys):
         assert main([dirty_tree, "--ignore", "PY002"]) == EXIT_CLEAN
@@ -135,9 +124,8 @@ class TestModuleEntryPoint:
 
 
 class TestStatsFlag:
-    def test_stats_goes_to_stderr_not_stdout(self, clean_tree, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        code = main([clean_tree, "--stats", "--cache-file", cache])
+    def test_stats_goes_to_stderr_not_stdout(self, clean_tree, capsys):
+        code = main([clean_tree, "--stats"])
         assert code == EXIT_CLEAN
         out, err = capsys.readouterr()
         assert "statcheck stats:" in err
@@ -145,20 +133,13 @@ class TestStatsFlag:
         assert "files=1" in err
         assert "wall_s=" in err
 
-    def test_stats_reports_warm_cache_ratio(self, clean_tree, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        main([clean_tree, "--stats", "--cache-file", cache])
-        capsys.readouterr()
-        main([clean_tree, "--stats", "--cache-file", cache])
-        assert "cache_hit_ratio=100%" in capsys.readouterr().err
-
     def test_stats_counts_findings_per_rule(self, dirty_tree, capsys):
-        code = main([dirty_tree, "--stats", "--no-incremental"])
+        code = main([dirty_tree, "--stats"])
         assert code == EXIT_FINDINGS
         assert "findings=PY002:1" in capsys.readouterr().err
 
     def test_stats_keeps_json_stdout_pure(self, dirty_tree, capsys):
-        main([dirty_tree, "--stats", "--json", "--no-incremental"])
+        main([dirty_tree, "--stats", "--json"])
         out, err = capsys.readouterr()
         assert json.loads(out)["findings"]
         assert "statcheck stats:" in err
@@ -178,7 +159,7 @@ class TestRequireJustificationCli:
             "        return 0\n",
             encoding="utf-8",
         )
-        assert main(["--no-incremental", str(src)]) == EXIT_FINDINGS
+        assert main([str(src)]) == EXIT_FINDINGS
         assert "SUP001" in capsys.readouterr().out
 
     def test_justified_suppression_passes(self, tmp_path):
@@ -192,11 +173,9 @@ class TestRequireJustificationCli:
             "        return 0\n",
             encoding="utf-8",
         )
-        assert main(["--no-incremental", str(src)]) == EXIT_CLEAN
+        assert main([str(src)]) == EXIT_CLEAN
 
-    def test_stale_suppression_fails_on_the_incremental_path(
-        self, tmp_path, capsys
-    ):
+    def test_stale_suppression_fails(self, tmp_path, capsys):
         src = tmp_path / "src"
         src.mkdir()
         (src / "mod.py").write_text(
@@ -213,6 +192,8 @@ class TestRequireJustificationCli:
     ["--changed-only", "HEAD"],
     ["--jobs", "2"],
     ["--require-justification"],
+    ["--no-incremental"],
+    ["--cache-file", "x"],
 ])
 def test_removed_flags_are_usage_errors(flags, clean_tree, capsys):
     """Scripts still passing a removed flag fail loudly (argparse exit 2)

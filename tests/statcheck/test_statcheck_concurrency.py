@@ -274,6 +274,6 @@ class TestSeededBugs:
         files = _load_src_tree()
         report = Analyzer(
             select=["ASYNC001", "ASYNC002", "ASYNC003", "LOCK001",
-                    "MET001", "SPAN001", "SPAN002"]
+                    "MET001", "SPAN001"]
         ).analyze(files)
         assert report.findings == []

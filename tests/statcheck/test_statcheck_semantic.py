@@ -70,20 +70,6 @@ class TestSymbolTable:
         info = table.modules["state"]
         assert set(info.mutable_globals) == {"CACHE", "QUEUE"}
 
-    def test_dependency_edges_for_incremental_invalidation(self):
-        table = SymbolTable.build(
-            _project(
-                ("repro.mcd.processor", "X = 1\n"),
-                (
-                    "repro.simcore.fast",
-                    "from repro.mcd import processor\n"
-                    "Y = processor.X\n",
-                ),
-            )
-        )
-        deps = table.modules["repro.simcore.fast"].deps
-        assert "repro.mcd.processor" in deps
-
     def test_mro_methods_walks_project_bases(self):
         table = SymbolTable.build(
             _project(
